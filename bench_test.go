@@ -135,14 +135,14 @@ func BenchmarkConvLayout(b *testing.B) {
 	in, wt, attrs := benchConvTensors()
 	b.Run("NCHW", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHW(in, wt, attrs, ops.Epilogue{}, nil)
+			ops.Conv2DNCHWInto(nil, in, wt, attrs, ops.Epilogue{}, nil)
 		}
 	})
 	b.Run("NHWC", func(b *testing.B) {
 		nhwc := tensor.NCHWToNHWC(in)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNHWC(nhwc, wt, attrs, ops.Epilogue{}, nil)
+			ops.Conv2DNHWCInto(nil, nhwc, wt, attrs, ops.Epilogue{}, nil)
 		}
 	})
 	for _, blk := range []int{4, 8, 16} {
@@ -152,7 +152,7 @@ func BenchmarkConvLayout(b *testing.B) {
 			bw := tensor.PackWeights(wt, blk, blk)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ops.Conv2DNCHWc(bi, bw, attrs, blk, blk, 8, true, ops.Epilogue{}, nil)
+				ops.Conv2DNCHWcInto(nil, nil, bi, bw, attrs, blk, blk, 8, true, 1, ops.Epilogue{}, nil)
 			}
 		})
 	}
@@ -168,7 +168,7 @@ func BenchmarkConvRegN(b *testing.B) {
 		regN := regN
 		b.Run(map[bool]string{true: "reg_n="}[true]+itoa(regN), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, regN, false, ops.Epilogue{}, nil)
+				ops.Conv2DNCHWcInto(nil, nil, bi, bw, attrs, 8, 8, regN, false, 1, ops.Epilogue{}, nil)
 			}
 		})
 	}
@@ -187,7 +187,7 @@ func BenchmarkConvUnroll(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, unroll, ops.Epilogue{}, nil)
+				ops.Conv2DNCHWcInto(nil, nil, bi, bw, attrs, 8, 8, 8, unroll, 1, ops.Epilogue{}, nil)
 			}
 		})
 	}
@@ -205,14 +205,14 @@ func BenchmarkFusion(b *testing.B) {
 	b.Run("fused", func(b *testing.B) {
 		epi := ops.Epilogue{Bias: bias, Residual: res, ReLU: true}
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, epi, nil)
+			ops.Conv2DNCHWcInto(nil, nil, bi, bw, attrs, 8, 8, 8, true, 1, epi, nil)
 		}
 	})
 	b.Run("unfused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			out := ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{Bias: bias}, nil)
-			out = ops.Add(out, res, nil)
-			ops.ReLU(out, nil)
+			out := ops.Conv2DNCHWcInto(nil, nil, bi, bw, attrs, 8, 8, 8, true, 1, ops.Epilogue{Bias: bias}, nil)
+			out = ops.AddInto(nil, out, res, nil)
+			ops.ReLUInto(nil, out, nil)
 		}
 	})
 }
@@ -260,7 +260,7 @@ func BenchmarkThreadPool(b *testing.B) {
 	}
 	b.Run("conv/serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, threadpool.Serial)
+			ops.Conv2DNCHWcInto(nil, nil, bi, bw, attrs, 8, 8, 8, true, 1, ops.Epilogue{}, threadpool.Serial)
 		}
 	})
 	b.Run("conv/pool", func(b *testing.B) {
@@ -268,14 +268,14 @@ func BenchmarkThreadPool(b *testing.B) {
 		defer p.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, p.ParallelFor)
+			ops.Conv2DNCHWcInto(nil, nil, bi, bw, attrs, 8, 8, 8, true, 1, ops.Epilogue{}, p.ParallelFor)
 		}
 	})
 	b.Run("conv/omp", func(b *testing.B) {
 		o := threadpool.NewOMPPool(threads)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, o.ParallelFor)
+			ops.Conv2DNCHWcInto(nil, nil, bi, bw, attrs, 8, 8, 8, true, 1, ops.Epilogue{}, o.ParallelFor)
 		}
 	})
 	var sink [64]int64
@@ -297,16 +297,15 @@ func BenchmarkThreadPool(b *testing.B) {
 }
 
 // BenchmarkConvAlgorithm compares the direct template against the Winograd
-// F(2x2,3x3) kernels (the paper's Section 6 extension) on real Go code, in
-// both the unblocked and the NCHW[x]c layouts. The blocked pair is the
-// matchup the optimization-scheme search decides per layer: on ResNet-style
-// 3x3 stride-1 workloads the winograd scheme's 2.25x multiply reduction
-// should beat the direct template.
+// F(2x2,3x3) kernel (the paper's Section 6 extension) on real Go code in the
+// NCHW[x]c layout — the matchup the optimization-scheme search decides per
+// layer: on ResNet-style 3x3 stride-1 workloads the winograd scheme's 2.25x
+// multiply reduction should beat the direct template.
 func BenchmarkConvAlgorithm(b *testing.B) {
 	for _, blk := range []int{8, 16} {
 		blk := blk
 		b.Run("direct-NCHW"+itoa(blk)+"c", func(b *testing.B) {
-			iter := benchkernels.DirectBlocked(blk)
+			iter := benchkernels.DirectBlocked(blk, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -322,15 +321,6 @@ func BenchmarkConvAlgorithm(b *testing.B) {
 			}
 		})
 	}
-	b.Run("winograd-f2x3-NCHW", func(b *testing.B) {
-		in, wt, attrs := benchkernels.ConvCase()
-		u := ops.WinogradWeightTransform(wt)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ops.Conv2DWinograd(in, u, attrs, ops.Epilogue{}, nil)
-		}
-	})
 }
 
 // BenchmarkConvInt8 compares fp32 and int8 blocked convolutions (Section 6
@@ -343,7 +333,7 @@ func BenchmarkConvInt8(b *testing.B) {
 		bw := tensor.PackWeights(wt, 8, 8)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ops.Conv2DNCHWc(bi, bw, attrs, 8, 8, 8, true, ops.Epilogue{}, nil)
+			ops.Conv2DNCHWcInto(nil, nil, bi, bw, attrs, 8, 8, 8, true, 1, ops.Epilogue{}, nil)
 		}
 	})
 	b.Run("int8", func(b *testing.B) {
@@ -351,7 +341,7 @@ func BenchmarkConvInt8(b *testing.B) {
 		qw := quant.PackWeightsOIHWio(quant.QuantizeWeightsPerChannel(wt), 8, 8)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			quant.Conv2DInt8NCHWc(qi, qw, attrs, 8, 8, 8, ops.Epilogue{}, nil)
+			quant.Conv2DInt8NCHWcInto(nil, qi, qw, attrs, 8, 8, 8, 1, ops.Epilogue{}, nil)
 		}
 	})
 }

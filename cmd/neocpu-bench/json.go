@@ -133,7 +133,7 @@ func measureHostKernels() ([]benchfmt.Entry, error) {
 			name string
 			iter func()
 		}{
-			{fmt.Sprintf("conv-algorithm/direct-NCHW%dc", blk), benchkernels.DirectBlocked(blk)},
+			{fmt.Sprintf("conv-algorithm/direct-NCHW%dc", blk), benchkernels.DirectBlocked(blk, nil)},
 			{fmt.Sprintf("conv-algorithm/winograd-NCHW%dc", blk), benchkernels.WinogradBlocked(blk)},
 		} {
 			iter := k.iter

@@ -1,8 +1,9 @@
 // Quantized inference demo — the paper's Section 6 future-work item
 // ("handling model inference in quantized values (e.g. INT8)") built out at
-// the operation level: a convolution stack runs in fp32 and in symmetric
-// INT8 with per-channel weight scales, comparing numerical agreement on the
-// real Go kernels and predicted speedups on the modeled targets.
+// the operation level: a one-convolution model is compiled in fp32 and in
+// symmetric INT8 with per-channel weight scales, run through the profiled
+// executor, and compared for numerical agreement on the real Go kernels and
+// predicted speedups on the modeled targets.
 //
 //	go run ./examples/quantized
 package main
@@ -12,46 +13,57 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/machine"
-	"repro/internal/ops"
-	"repro/internal/quant"
 	"repro/internal/tensor"
+	"repro/pkg/neocpu"
 )
 
+// convModel is a mid-network convolution: 64x28x28 -> 64, 3x3.
+func convModel() *graph.Graph {
+	b := graph.NewBuilder("conv", 2)
+	return b.Finish(b.Conv(b.Input(64, 28, 28), 64, 3, 1, 1))
+}
+
+// runConv compiles the convolution model on one serial lane and returns its
+// output and the convolution's time from a profiled run.
+func runConv(in *tensor.Tensor, opts ...neocpu.Option) (*tensor.Tensor, time.Duration) {
+	opts = append(opts, neocpu.WithOptLevel(neocpu.LevelTransformElim), neocpu.WithBackend(neocpu.BackendSerial))
+	engine, err := neocpu.CompileGraph(convModel(), opts...)
+	if err != nil {
+		panic(err)
+	}
+	defer engine.Close()
+	outs, prof, err := engine.RunProfiled(in)
+	if err != nil {
+		panic(err)
+	}
+	var conv time.Duration
+	for _, t := range prof.Timings {
+		if t.Node.Op == graph.OpConv2D {
+			conv += t.Elapsed
+		}
+	}
+	return outs[0], conv
+}
+
 func main() {
-	// A mid-network convolution: 64x28x28 -> 64, 3x3.
 	in := tensor.New(tensor.NCHW(), 1, 64, 28, 28)
 	in.FillRandom(1, 1)
-	wt := tensor.New(tensor.OIHW(), 64, 64, 3, 3)
-	wt.FillRandom(2, 0.5)
-	attrs := ops.Conv2DAttrs{OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-
-	// fp32 blocked reference.
-	const blk = 8
-	bi := tensor.ToNCHWc(in, blk)
-	bw := tensor.PackWeights(wt, blk, blk)
-	start := time.Now()
-	f32 := ops.Conv2DNCHWc(bi, bw, attrs, blk, blk, 8, true, ops.Epilogue{}, nil)
-	f32Time := time.Since(start)
-
-	// INT8 path: quantize, pack into the same blocked layouts, convolve with
-	// int32 accumulation, rescale.
-	qin := quant.PackActivationNCHWc(quant.Quantize(in), blk)
-	qwt := quant.PackWeightsOIHWio(quant.QuantizeWeightsPerChannel(wt), blk, blk)
-	start = time.Now()
-	i8 := quant.Conv2DInt8NCHWc(qin, qwt, attrs, blk, blk, 8, ops.Epilogue{}, nil)
-	i8Time := time.Since(start)
+	// fp32 blocked reference, then the INT8 path: activations quantized per
+	// inference, weights per channel at compile time, int32 accumulation,
+	// rescaled output.
+	a, f32Time := runConv(in)
+	b, i8Time := runConv(in, neocpu.WithInt8())
 
 	// Agreement.
-	a := tensor.FromNCHWc(f32)
-	b := tensor.FromNCHWc(i8)
 	var ref2, err2 float64
 	for i := range a.Data {
 		d := float64(a.Data[i] - b.Data[i])
 		err2 += d * d
 		ref2 += float64(a.Data[i]) * float64(a.Data[i])
 	}
-	fmt.Printf("fp32 kernel: %v   int8 kernel: %v (host, scalar Go)\n",
+	fmt.Printf("fp32 conv step: %v   int8 conv step: %v (host, scalar Go; int8 includes activation quantization)\n",
 		f32Time.Round(time.Microsecond), i8Time.Round(time.Microsecond))
 	fmt.Printf("int8 relative RMS error vs fp32: %.4f%%\n", 100*rms(err2, ref2))
 

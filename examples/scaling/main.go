@@ -1,15 +1,17 @@
 // Scaling demo, three layers of it:
 //
-// 1. Kernel scaling (Section 3.1.2 / Figure 4 with real wall-clock): the
-//    same blocked convolution is executed with the custom thread pool and
-//    the OpenMP-style fork/join runtime at growing thread counts.
-// 2. Whole-model scaling: the scaling/<model> series recorded by
-//    `neocpu-bench -json` (same model recompiled at each thread count, so
-//    block sizes and parallel grain are re-searched per width), replayed
-//    from BENCH_<target>.json via -bench.
-// 3. Serving scaling: a compiled engine behind the HTTP inference server,
-//    hammered by concurrent clients — pooled sessions plus the dynamic
-//    micro-batcher turn per-request dispatch into coalesced RunBatch calls.
+//  1. Kernel scaling (Section 3.1.2 / Figure 4 with real wall-clock): the
+//     same blocked convolution is executed with the custom thread pool and
+//     the OpenMP-style fork/join runtime at growing thread counts.
+//  2. Whole-model scaling: the scaling/<model> series recorded by
+//     `neocpu-bench -json` (same model recompiled at each thread count, so
+//     block sizes and parallel grain are re-searched per width), replayed
+//     from BENCH_<target>.json via -bench.
+//  3. Serving scaling: a compiled engine behind the HTTP inference server,
+//     hammered by concurrent clients — pooled sessions plus the dynamic
+//     micro-batcher turn per-request dispatch into coalesced RunBatch calls.
+//
+// Usage:
 //
 //	go run ./cmd/neocpu-bench -json /tmp/bench
 //	go run ./examples/scaling -bench /tmp/bench/BENCH_intel-skylake.json
@@ -28,9 +30,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/benchkernels"
 	"repro/internal/models"
 	"repro/internal/ops"
-	"repro/internal/tensor"
 	"repro/internal/threadpool"
 	"repro/pkg/neocpu"
 )
@@ -40,27 +42,19 @@ func main() {
 		"path to a BENCH_<target>.json written by `neocpu-bench -json`; its scaling/<model> series is printed as the whole-model scaling table")
 	flag.Parse()
 
-	// A mid-network ResNet convolution, blocked NCHW8c.
-	const icb, ocb, regN = 8, 8, 8
-	in := tensor.New(tensor.NCHW(), 1, 128, 28, 28)
-	in.FillRandom(1, 1)
-	wt := tensor.New(tensor.OIHW(), 128, 128, 3, 3)
-	wt.FillRandom(2, 0.5)
-	attrs := ops.Conv2DAttrs{OutC: 128, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	blockedIn := tensor.ToNCHWc(in, icb)
-	blockedWt := tensor.PackWeights(wt, icb, ocb)
-
+	// The shared mid-network ResNet convolution, blocked NCHW8c.
 	run := func(pf ops.ParallelFor, reps int) time.Duration {
+		iter := benchkernels.DirectBlocked(8, pf)
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			ops.Conv2DNCHWc(blockedIn, blockedWt, attrs, icb, ocb, regN, true, ops.Epilogue{}, pf)
+			iter()
 		}
 		return time.Since(start) / time.Duration(reps)
 	}
 
 	const reps = 20
 	serial := run(threadpool.Serial, reps)
-	fmt.Printf("conv 128x28x28 -> 128, 3x3 (231 MFLOPs), serial: %v\n\n", serial.Round(time.Microsecond))
+	fmt.Printf("conv 64x28x28 -> 64, 3x3 (58 MFLOPs), serial: %v\n\n", serial.Round(time.Microsecond))
 	fmt.Printf("%-8s %16s %16s %12s\n", "threads", "thread pool", "omp-style", "pool speedup")
 
 	maxThreads := runtime.GOMAXPROCS(0)

@@ -22,17 +22,17 @@ func ConvCase() (*tensor.Tensor, *tensor.Tensor, ops.Conv2DAttrs) {
 }
 
 // DirectBlocked prepares the direct-template benchmark at the given block
-// factor and returns one steady-state iteration: all buffers (packed weight,
-// padding scratch, destination) are preallocated so the timed loop measures
-// only the kernel.
-func DirectBlocked(blk int) func() {
+// factor on the given threading runtime (nil runs serially) and returns one
+// steady-state iteration: all buffers (packed weight, padding scratch,
+// destination) are preallocated so the timed loop measures only the kernel.
+func DirectBlocked(blk int, pf ops.ParallelFor) func() {
 	in, wt, attrs := ConvCase()
 	bi := tensor.ToNCHWc(in, blk)
 	bw := tensor.PackWeights(wt, blk, blk)
 	pad := tensor.New(bi.Layout, ops.PaddedShapeNCHWc(bi.Shape, attrs)...)
 	dst := tensor.New(tensor.NCHWc(blk), 1, attrs.OutC/blk, 28, 28, blk)
 	return func() {
-		ops.Conv2DNCHWcInto(dst, pad, bi, bw, attrs, blk, blk, 8, true, 1, ops.Epilogue{}, nil)
+		ops.Conv2DNCHWcInto(dst, pad, bi, bw, attrs, blk, blk, 8, true, 1, ops.Epilogue{}, pf)
 	}
 }
 

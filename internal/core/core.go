@@ -309,7 +309,7 @@ func finalizeModule(g *graph.Graph, t *machine.Target, level OptLevel, searchOut
 			// Depthwise weights are logically (C, 1, KH, KW): their packed
 			// form splits only the output channels, so the input-channel
 			// block of the packing is 1 regardless of the schedule's shared
-			// activation block (see ops.Conv2DDepthwiseNCHWc).
+			// activation block (see ops.Conv2DDepthwiseNCHWcInto).
 			wIC := n.Sched.ICBlock
 			if graph.ConvWorkload(n).Depthwise() {
 				wIC = 1

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -382,38 +383,78 @@ func TestBatchedInference(t *testing.T) {
 	}
 }
 
+// TestRunProfiled checks that a profiled run is the served run: outputs
+// bit-identical to Session.Run, one timing per program node in program
+// order, every timing within Total — on a serial lane, on a plan with
+// inter-op levels (whose timings overlap), and on an int8 module.
 func TestRunProfiled(t *testing.T) {
-	g := models.TinyResNet(2)
-	m, err := Compile(g, skylake(), Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		opts  Options
+		check func(t *testing.T, m *Module)
+	}{
+		{"tiny-resnet-serial", models.TinyResNet(2), Options{Level: OptTransformElim, Threads: 1, Backend: machine.BackendSerial}, nil},
+		{"tiny-inception-interop", models.TinyInception(2), Options{Level: OptTransformElim, Threads: 4, Backend: machine.BackendPool},
+			func(t *testing.T, m *Module) {
+				if m.PlanStats().InterOpLevels == 0 {
+					t.Fatalf("plan has no inter-op levels: %+v", m.PlanStats())
+				}
+			}},
+		{"tiny-cnn-int8", models.TinyCNN(2), Options{Level: OptTransformElim, Threads: 2, Backend: machine.BackendPool, Int8: true}, nil},
 	}
-	in := tensor.New(tensor.NCHW(), 1, 3, 32, 32)
-	in.FillRandom(1, 1)
-	outsRef, err := m.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, prof, err := m.RunProfiled(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tensor.MaxAbsDiff(outsRef[0], outs[0]) != 0 {
-		t.Fatal("profiled run changed the output")
-	}
-	if prof.Total <= 0 || len(prof.Timings) == 0 {
-		t.Fatalf("empty profile: %+v", prof)
-	}
-	byKind := prof.ByKind()
-	if len(byKind) == 0 || byKind[0].Kind != graph.OpConv2D {
-		t.Fatalf("convolution must dominate the profile, got %v", byKind)
-	}
-	if s := prof.String(); !strings.Contains(s, "conv2d") {
-		t.Fatalf("profile rendering incomplete: %s", s)
-	}
-	// Profiled shape errors mirror Run's.
-	if _, _, err := m.RunProfiled(tensor.New(tensor.NCHW(), 1, 3, 8, 8)); err == nil {
-		t.Fatal("expected shape error")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := Compile(tc.g, skylake(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if tc.check != nil {
+				tc.check(t, m)
+			}
+			in := tensor.New(tensor.NCHW(), tc.g.Input.OutShape.Dims...)
+			in.FillRandom(1, 1)
+			s, err := m.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := s.Run(context.Background(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs, prof, err := m.RunProfiled(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if tensor.MaxAbsDiff(want[i], outs[i]) != 0 {
+					t.Fatalf("output %d: profiled run diverges from Session.Run", i)
+				}
+			}
+			if prof.Total <= 0 || len(prof.Timings) != len(m.program) {
+				t.Fatalf("profile has %d timings over total %v, want one per %d program nodes", len(prof.Timings), prof.Total, len(m.program))
+			}
+			for i, tm := range prof.Timings {
+				if tm.Node != m.program[i] {
+					t.Fatalf("timing %d is %v, want program node %v", i, tm.Node, m.program[i])
+				}
+				if tm.Elapsed > prof.Total {
+					t.Fatalf("%v took %v, more than the %v total", tm.Node, tm.Elapsed, prof.Total)
+				}
+			}
+			byKind := prof.ByKind()
+			if len(byKind) == 0 || byKind[0].Kind != graph.OpConv2D {
+				t.Fatalf("convolution must dominate the profile, got %v", byKind)
+			}
+			if s := prof.String(); !strings.Contains(s, "conv2d") {
+				t.Fatalf("profile rendering incomplete: %s", s)
+			}
+			// Profiled shape errors mirror Run's.
+			if _, _, err := m.RunProfiled(tensor.New(tensor.NCHW(), 1, 3, 8, 8)); err == nil {
+				t.Fatal("expected shape error")
+			}
+		})
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 func referenceRun(m *Module, input *tensor.Tensor) ([]*tensor.Tensor, error) {
 	vals := make([]*tensor.Tensor, len(m.program))
 	for i, n := range m.program {
-		out, err := m.exec(n, vals, input, threadpool.Serial, nil)
+		// Empty buffers: every kernel allocates its output and scratch.
+		buf := &nodeBuffers{concat: make([]*tensor.Tensor, len(n.Inputs))}
+		out, err := m.exec(n, vals, input, threadpool.Serial, buf)
 		if err != nil {
 			return nil, err
 		}

@@ -21,8 +21,9 @@ import (
 // A Module is safe for concurrent read-only use once compiled: its weights,
 // program and threading runtime are all finalized at compile time (the
 // runtime is constructed in finalizeModule precisely so that concurrent
-// Sessions never race on lazy initialization). Run allocates fresh buffers
-// per call; NewSession returns an execution context with a reusable arena.
+// Sessions never race on lazy initialization). Run materializes a throwaway
+// session per call; NewSession returns an execution context with a reusable
+// arena.
 type Module struct {
 	Graph  *graph.Graph
 	Target *machine.Target
@@ -133,9 +134,6 @@ func (m *Module) checkInput(input *tensor.Tensor) error {
 // For repeated or concurrent inference prefer NewSession, which reuses its
 // arena and makes steady-state execution allocation-free.
 func (m *Module) Run(input *tensor.Tensor) ([]*tensor.Tensor, error) {
-	if err := m.checkInput(input); err != nil {
-		return nil, err
-	}
 	s, err := m.NewSession()
 	if err != nil {
 		return nil, err
@@ -154,7 +152,8 @@ func (m *Module) PlanStats() PlanStats {
 }
 
 // nodeBuffers carries one node's preallocated arena slots for a Session run.
-// A nil *nodeBuffers (Module.Run's allocating path) means "allocate fresh".
+// A nil buffer inside it means "allocate fresh" (the data-dependent SSD
+// head output, aliasing nodes, kernels with no scratch).
 type nodeBuffers struct {
 	// out receives the node's output (nil for data-dependent outputs such
 	// as the SSD head, and for aliasing nodes).
@@ -170,37 +169,10 @@ type nodeBuffers struct {
 	concat []*tensor.Tensor
 }
 
-func (b *nodeBuffers) outT() *tensor.Tensor {
-	if b == nil {
-		return nil
-	}
-	return b.out
-}
-
-func (b *nodeBuffers) padT() *tensor.Tensor {
-	if b == nil {
-		return nil
-	}
-	return b.pad
-}
-
-func (b *nodeBuffers) winoT() *tensor.Tensor {
-	if b == nil {
-		return nil
-	}
-	return b.wino
-}
-
-func (b *nodeBuffers) scratchT() *tensor.Tensor {
-	if b == nil {
-		return nil
-	}
-	return b.scratch
-}
-
 // exec runs one node. vals is the slot-indexed value table for the current
-// inference; buf, when non-nil, provides the destination buffers of a
-// Session arena.
+// inference; buf provides the node's destination buffers in the Session
+// arena. Outside tests, Session.execStep is its only caller, so exec is the
+// one place the kernels are called from.
 func (m *Module) exec(n *graph.Node, vals []*tensor.Tensor, input *tensor.Tensor, pf ops.ParallelFor, buf *nodeBuffers) (*tensor.Tensor, error) {
 	arg := func(i int) *tensor.Tensor { return vals[m.slot[n.Inputs[i]]] }
 	switch n.Op {
@@ -221,59 +193,54 @@ func (m *Module) exec(n *graph.Node, vals []*tensor.Tensor, input *tensor.Tensor
 				// accumulating blocked kernel with fused rescale.
 				qin := quant.Quantize(arg(0))
 				if depthwise {
-					return quant.Conv2DInt8DepthwiseNCHWcInto(buf.outT(), qin, m.qpacked[n], n.Conv,
+					return quant.Conv2DInt8DepthwiseNCHWcInto(buf.out, qin, m.qpacked[n], n.Conv,
 						n.Sched.OCBlock, n.Sched.RegN, n.Sched.Grain, epi, pf), nil
 				}
-				return quant.Conv2DInt8NCHWcInto(buf.outT(), qin, m.qpacked[n], n.Conv,
+				return quant.Conv2DInt8NCHWcInto(buf.out, qin, m.qpacked[n], n.Conv,
 					n.Sched.ICBlock, n.Sched.OCBlock, n.Sched.RegN, n.Sched.Grain, epi, pf), nil
 			}
 			if n.Sched.Algorithm == machine.AlgoWinograd {
-				return ops.Conv2DWinogradNCHWcInto(buf.outT(), buf.winoT(), arg(0), m.packed[n], n.Conv,
+				return ops.Conv2DWinogradNCHWcInto(buf.out, buf.wino, arg(0), m.packed[n], n.Conv,
 					n.Sched.ICBlock, n.Sched.OCBlock, n.Sched.Grain, epi, pf), nil
 			}
 			if depthwise {
-				return ops.Conv2DDepthwiseNCHWcInto(buf.outT(), buf.padT(), arg(0), m.packed[n], n.Conv,
+				return ops.Conv2DDepthwiseNCHWcInto(buf.out, buf.pad, arg(0), m.packed[n], n.Conv,
 					n.Sched.OCBlock, n.Sched.RegN, n.Sched.UnrollKer, n.Sched.Grain, epi, pf), nil
 			}
-			return ops.Conv2DNCHWcInto(buf.outT(), buf.padT(), arg(0), m.packed[n], n.Conv,
+			return ops.Conv2DNCHWcInto(buf.out, buf.pad, arg(0), m.packed[n], n.Conv,
 				n.Sched.ICBlock, n.Sched.OCBlock, n.Sched.RegN, n.Sched.UnrollKer, n.Sched.Grain, epi, pf), nil
 		case tensor.LayoutNHWC:
-			return ops.Conv2DNHWCInto(buf.outT(), arg(0), n.Weight, n.Conv, epi, pf), nil
+			return ops.Conv2DNHWCInto(buf.out, arg(0), n.Weight, n.Conv, epi, pf), nil
 		default:
-			return ops.Conv2DNCHWInto(buf.outT(), arg(0), n.Weight, n.Conv, epi, pf), nil
+			return ops.Conv2DNCHWInto(buf.out, arg(0), n.Weight, n.Conv, epi, pf), nil
 		}
 
 	case graph.OpBatchNorm:
-		return ops.BatchNormInferenceInto(buf.outT(), arg(0), n.BN, pf), nil
+		return ops.BatchNormInferenceInto(buf.out, arg(0), n.BN, pf), nil
 	case graph.OpReLU:
-		return ops.ReLUInto(buf.outT(), arg(0), pf), nil
+		return ops.ReLUInto(buf.out, arg(0), pf), nil
 	case graph.OpDropout:
 		return arg(0), nil
 	case graph.OpPool:
-		return ops.Pool2DInto(buf.outT(), arg(0), n.Pool, pf), nil
+		return ops.Pool2DInto(buf.out, arg(0), n.Pool, pf), nil
 	case graph.OpGlobalAvgPool:
-		return ops.GlobalAvgPoolInto(buf.outT(), arg(0), pf), nil
+		return ops.GlobalAvgPoolInto(buf.out, arg(0), pf), nil
 	case graph.OpAdd:
-		return ops.AddInto(buf.outT(), arg(0), arg(1), pf), nil
+		return ops.AddInto(buf.out, arg(0), arg(1), pf), nil
 	case graph.OpConcat:
-		var ins []*tensor.Tensor
-		if buf != nil && buf.concat != nil {
-			ins = buf.concat
-		} else {
-			ins = make([]*tensor.Tensor, len(n.Inputs))
-		}
+		ins := buf.concat
 		for i := range n.Inputs {
 			ins[i] = arg(i)
 		}
-		return ops.ConcatInto(buf.outT(), ins, pf), nil
+		return ops.ConcatInto(buf.out, ins, pf), nil
 	case graph.OpFlatten:
-		return ops.FlattenInto(buf.outT(), arg(0)), nil
+		return ops.FlattenInto(buf.out, arg(0)), nil
 	case graph.OpDense:
-		return ops.DenseInto(buf.outT(), arg(0), n.Weight, n.Bias, false, pf), nil
+		return ops.DenseInto(buf.out, arg(0), n.Weight, n.Bias, false, pf), nil
 	case graph.OpSoftmax:
-		return ops.SoftmaxInto(buf.outT(), arg(0)), nil
+		return ops.SoftmaxInto(buf.out, arg(0)), nil
 	case graph.OpLayoutTransform:
-		return tensor.TransformInto(buf.outT(), buf.scratchT(), arg(0), n.Transform), nil
+		return tensor.TransformInto(buf.out, buf.scratch, arg(0), n.Transform), nil
 	case graph.OpSSDHead:
 		return m.execSSDHead(n, vals)
 	}

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/machine"
+	"repro/internal/ops"
+	"repro/internal/schedule"
 	"repro/internal/tensor"
 )
 
@@ -16,7 +21,10 @@ type OpTiming struct {
 	Elapsed time.Duration
 }
 
-// Profile is the per-operator breakdown of one real inference.
+// Profile is the per-operator breakdown of one real inference. Timings
+// holds one entry per program node, in program order. Nodes on inter-op and
+// hybrid levels run concurrently, so their timings overlap and the sum of
+// Timings may exceed Total; every single timing is at most Total.
 type Profile struct {
 	Total   time.Duration
 	Timings []OpTiming
@@ -72,36 +80,68 @@ func (p *Profile) String() string {
 	return b.String()
 }
 
-// RunProfiled executes one inference like Run while timing every operator.
-// It returns the outputs and the profile. Per-operator timing requires
-// sequential node execution, so profiled runs walk the plan's levels in
-// order with intra-op kernels only (inter-op dispatch is disabled for the
-// measurement), and instrumentation adds one clock read per node — profiled
-// latency slightly exceeds Run latency.
+// RunProfiled executes one inference like Run and returns the outputs with
+// the per-operator profile. It runs the same compiled plan as Session.Run,
+// per-level threading policies included, and reads the step times the
+// executor records on every run.
 func (m *Module) RunProfiled(input *tensor.Tensor) ([]*tensor.Tensor, *Profile, error) {
-	if err := m.checkInput(input); err != nil {
-		return nil, nil, err
-	}
 	s, err := m.NewSession()
 	if err != nil {
 		return nil, nil, err
 	}
-	pf := m.parallelFor()
-	prof := &Profile{Timings: make([]OpTiming, 0, len(m.program))}
 	start := time.Now()
-	for _, level := range m.plan.levels {
-		for _, i := range level {
-			opStart := time.Now()
-			if err := s.execStep(i, input, pf); err != nil {
-				return nil, nil, err
-			}
-			prof.Timings = append(prof.Timings, OpTiming{Node: m.program[i], Elapsed: time.Since(opStart)})
-		}
+	outs, err := s.Run(context.TODO(), input)
+	if err != nil {
+		return nil, nil, err
 	}
-	prof.Total = time.Since(start)
-	outs := make([]*tensor.Tensor, len(m.Graph.Outputs))
-	for i, o := range m.Graph.Outputs {
-		outs[i] = s.vals[m.slot[o]]
+	prof := &Profile{Total: time.Since(start), Timings: make([]OpTiming, len(m.program))}
+	for i, n := range m.program {
+		prof.Timings[i] = OpTiming{Node: n, Elapsed: s.stepTimes[i]}
 	}
 	return outs, prof, nil
+}
+
+// MeasuredEvaluator returns a schedule.Evaluator that times schedules on the
+// host instead of predicting them. Its scope is the cost model's: fp32, one
+// serial thread. Each evaluation compiles the workload as an input→conv
+// module with the schedule pinned through the regular layout and packing
+// path, so the timed kernel is the one serving runs — compile-time packed
+// weights, arena buffers, the schedule's own grain. The score is the minimum
+// conv-step time over trials (at least one) Session runs, in seconds; a
+// schedule the compile path rejects scores +Inf.
+func MeasuredEvaluator(trials int) schedule.Evaluator {
+	trials = max(trials, 1)
+	return func(wl machine.ConvWorkload, s machine.ConvSchedule) float64 {
+		g := graph.NewGraph("measure")
+		in := g.AddNode(&graph.Node{Name: "data", Op: graph.OpInput, OutShape: graph.Shape{Dims: []int{1, wl.InC, wl.InH, wl.InW}}})
+		wt := tensor.New(tensor.OIHW(), wl.OutC, wl.InC/wl.GroupCount(), wl.KH, wl.KW)
+		wt.FillRandom(2, 1)
+		conv := g.AddNode(&graph.Node{Name: "conv", Op: graph.OpConv2D, Inputs: []*graph.Node{in}, Weight: wt,
+			Conv: ops.Conv2DAttrs{OutC: wl.OutC, KH: wl.KH, KW: wl.KW, StrideH: wl.StrideH, StrideW: wl.StrideW,
+				PadH: wl.PadH, PadW: wl.PadW, Groups: wl.Groups}})
+		g.Input, g.Outputs = in, []*graph.Node{conv}
+		if graph.InferShapes(g) != nil || graph.AlterOpLayout(g, graph.LayoutPlan{conv: s}, true) != nil {
+			return math.Inf(1)
+		}
+		// The target only feeds latency prediction; execution is one serial lane.
+		m, err := finalizeModule(g, machine.IntelSkylakeC5(), OptGlobalSearch, nil, Options{Threads: 1, Backend: machine.BackendSerial})
+		if err != nil {
+			return math.Inf(1)
+		}
+		defer m.Close()
+		sess, err := m.NewSession()
+		if err != nil {
+			return math.Inf(1)
+		}
+		input := tensor.New(tensor.NCHW(), 1, wl.InC, wl.InH, wl.InW)
+		input.FillRandom(1, 1)
+		best := math.Inf(1)
+		for i := 0; i < trials; i++ {
+			if _, err := sess.Run(context.TODO(), input); err != nil {
+				return math.Inf(1)
+			}
+			best = min(best, sess.stepTimes[m.slot[conv]].Seconds())
+		}
+		return best
+	}
 }

@@ -59,6 +59,9 @@ type Session struct {
 	// levels, sized to the widest level once so dispatch allocates nothing.
 	errs   []error
 	panics []any
+	// stepTimes holds each program step's wall time from the latest run,
+	// indexed by program step; concurrent lanes write disjoint entries.
+	stepTimes []time.Duration
 
 	// Work counters. The session itself is a single execution lane, but a
 	// serving pool reads these concurrently with runs (stats endpoints,
@@ -131,13 +134,14 @@ func (m *Module) NewSession() (*Session, error) {
 	}
 	p := m.plan
 	s := &Session{
-		m:        m,
-		slotData: make([][]float32, len(p.slots)),
-		vals:     make([]*tensor.Tensor, len(m.program)),
-		bufs:     make([]nodeBuffers, len(m.program)),
-		outs:     make([]*tensor.Tensor, len(m.Graph.Outputs)),
-		errs:     make([]error, p.stats.MaxWidth),
-		panics:   make([]any, p.stats.MaxWidth),
+		m:         m,
+		slotData:  make([][]float32, len(p.slots)),
+		vals:      make([]*tensor.Tensor, len(m.program)),
+		bufs:      make([]nodeBuffers, len(m.program)),
+		outs:      make([]*tensor.Tensor, len(m.Graph.Outputs)),
+		errs:      make([]error, p.stats.MaxWidth),
+		panics:    make([]any, p.stats.MaxWidth),
+		stepTimes: make([]time.Duration, len(m.program)),
 	}
 	for i, sl := range p.slots {
 		// Zero-filled by make: pad slots rely on their border staying zero
@@ -169,10 +173,13 @@ func (m *Module) NewSession() (*Session, error) {
 	return s, nil
 }
 
-// execStep executes one program node into its planned buffers.
+// execStep executes one program node into its planned buffers and records
+// the step's wall time. It is the only place a kernel runs.
 func (s *Session) execStep(i int, input *tensor.Tensor, pf ops.ParallelFor) error {
 	n := s.m.program[i]
+	start := time.Now()
 	out, err := s.m.exec(n, s.vals, input, pf, &s.bufs[i])
+	s.stepTimes[i] = time.Since(start)
 	if err != nil {
 		return fmt.Errorf("core: executing %v: %w", n, err)
 	}

@@ -31,18 +31,13 @@ func (p BatchNormParams) scaleShift() (scale, shift []float32) {
 	return scale, shift
 }
 
-// BatchNormInference applies y = gamma*(x-mean)/sqrt(var+eps) + beta per
+// BatchNormInferenceInto applies y = gamma*(x-mean)/sqrt(var+eps) + beta per
 // channel. Layout-tolerant: accepts NCHW and NCHW[x]c (Section 3.2 category
 // 2). In optimized graphs this operator is folded into the preceding
-// convolution by FoldBatchNorm and never executes.
-func BatchNormInference(in *tensor.Tensor, p BatchNormParams, pf ParallelFor) *tensor.Tensor {
-	return BatchNormInferenceInto(nil, in, p, pf)
-}
-
-// BatchNormInferenceInto is BatchNormInference writing into a caller-provided
-// destination (nil dst allocates). The scale/shift working vectors are still
-// derived per call; optimized graphs fold BatchNorm away entirely, so this
-// path is only reached with DisableBNFold.
+// convolution by FoldBatchNorm and never executes. It writes into a
+// caller-provided destination (nil dst allocates). The scale/shift working
+// vectors are still derived per call; optimized graphs fold BatchNorm away
+// entirely, so this path is only reached with DisableBNFold.
 func BatchNormInferenceInto(dst, in *tensor.Tensor, p BatchNormParams, pf ParallelFor) *tensor.Tensor {
 	scale, shift := p.scaleShift()
 	switch in.Layout.Kind {

@@ -6,18 +6,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// Concat concatenates activations along the channel dimension. It is
+// ConcatInto concatenates activations along the channel dimension. It is
 // layout-oblivious per the paper's classification as long as every input
 // shares one layout; for NCHW[x]c inputs every operand must use the same
 // block size and have a channel count divisible by it, in which case the
 // blocked concat is a pure block-row copy (DenseNet and Inception rely on
 // this to keep blocked layouts flowing through their concat blocks).
-func Concat(ins []*tensor.Tensor, pf ParallelFor) *tensor.Tensor {
-	return ConcatInto(nil, ins, pf)
-}
-
-// ConcatInto is Concat writing into a caller-provided destination (nil dst
-// allocates).
+//
+// It writes into a caller-provided destination (nil dst allocates).
 func ConcatInto(dst *tensor.Tensor, ins []*tensor.Tensor, pf ParallelFor) *tensor.Tensor {
 	if len(ins) == 0 {
 		panic("ops: Concat of zero tensors")

@@ -6,15 +6,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2DNCHW is the reference direct convolution in the default NCHW layout
-// with OIHW weights. It is used as the ground truth for every other
-// convolution kernel and as the un-optimized baseline of Table 3 row 1.
-func Conv2DNCHW(in, weight *tensor.Tensor, attrs Conv2DAttrs, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	return Conv2DNCHWInto(nil, in, weight, attrs, epi, pf)
-}
-
-// Conv2DNCHWInto is Conv2DNCHW writing into a caller-provided destination
-// (nil dst allocates).
+// Conv2DNCHWInto is the reference direct convolution in the default NCHW
+// layout with OIHW weights. It is used as the ground truth for every other
+// convolution kernel and as the un-optimized baseline of Table 3 row 1. It
+// writes into a caller-provided destination (nil dst allocates).
 func Conv2DNCHWInto(dst *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHW {
 		panic(fmt.Sprintf("ops: Conv2DNCHW expects NCHW input, got %v", in.Layout))
@@ -83,14 +78,9 @@ func Conv2DNCHWInto(dst *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DA
 	return out
 }
 
-// Conv2DNHWC is the channels-last direct convolution (TensorFlow's default
-// layout). Weights remain OIHW.
-func Conv2DNHWC(in, weight *tensor.Tensor, attrs Conv2DAttrs, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	return Conv2DNHWCInto(nil, in, weight, attrs, epi, pf)
-}
-
-// Conv2DNHWCInto is Conv2DNHWC writing into a caller-provided destination
-// (nil dst allocates).
+// Conv2DNHWCInto is the channels-last direct convolution (TensorFlow's
+// default layout). Weights remain OIHW. It writes into a caller-provided
+// destination (nil dst allocates).
 func Conv2DNHWCInto(dst *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNHWC {
 		panic(fmt.Sprintf("ops: Conv2DNHWC expects NHWC input, got %v", in.Layout))
@@ -179,8 +169,18 @@ func padNCHWc(in *tensor.Tensor, padH, padW int, scratch *tensor.Tensor) *tensor
 	return out
 }
 
-// Conv2DNCHWc is the paper's Algorithm 1: the direct convolution template in
-// the blocked NCHW[x]c layout with OIHW[x]i[y]o weights. The schedule's
+// PaddedShapeNCHWc returns the buffer shape Conv2DNCHWcInto needs for its
+// padding scratch given the blocked input shape, or nil when the convolution
+// needs no explicit padding. Sessions use it to size arenas once.
+func PaddedShapeNCHWc(inShape []int, attrs Conv2DAttrs) []int {
+	if attrs.PadH == 0 && attrs.PadW == 0 {
+		return nil
+	}
+	return []int{inShape[0], inShape[1], inShape[2] + 2*attrs.PadH, inShape[3] + 2*attrs.PadW, inShape[4]}
+}
+
+// Conv2DNCHWcInto is the paper's Algorithm 1: the direct convolution template
+// in the blocked NCHW[x]c layout with OIHW[x]i[y]o weights. The schedule's
 // register blocking is realized with a reg_n × oc_bn accumulator tile that
 // stays in registers/L1 across the full reduction, exactly mirroring the
 // ZMM-register allocation of Figure 1:
@@ -196,27 +196,12 @@ func padNCHWc(in *tensor.Tensor, padH, padW int, scratch *tensor.Tensor) *tensor
 //	    store acc (+ fused epilogue)
 //
 // The input must be NCHW[icb]c and the weight OIHW[icb]i[ocb]o with icb =
-// sched ic_bn and ocb = sched oc_bn.
-func Conv2DNCHWc(in, weight *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, unrollKer bool, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	return Conv2DNCHWcInto(nil, nil, in, weight, attrs, icb, ocb, regN, unrollKer, 1, epi, pf)
-}
-
-// PaddedShapeNCHWc returns the buffer shape Conv2DNCHWcInto needs for its
-// padding scratch given the blocked input shape, or nil when the convolution
-// needs no explicit padding. Sessions use it to size arenas once.
-func PaddedShapeNCHWc(inShape []int, attrs Conv2DAttrs) []int {
-	if attrs.PadH == 0 && attrs.PadW == 0 {
-		return nil
-	}
-	return []int{inShape[0], inShape[1], inShape[2] + 2*attrs.PadH, inShape[3] + 2*attrs.PadW, inShape[4]}
-}
-
-// Conv2DNCHWcInto is Conv2DNCHWc writing into caller-provided buffers: dst
-// receives the output and padScratch (sized per PaddedShapeNCHWc, zero-filled
-// at allocation) holds the explicitly padded input. Either may be nil, in
-// which case it is allocated. grain is the schedule's parallel chunk size —
-// how many (batch, oc.outer, oh) rows one parallel work item covers (<=1
-// means one row per item, the historical split); any grain computes
+// sched ic_bn and ocb = sched oc_bn. It writes into caller-provided buffers:
+// dst receives the output and padScratch (sized per PaddedShapeNCHWc,
+// zero-filled at allocation) holds the explicitly padded input. Either may be
+// nil, in which case it is allocated. grain is the schedule's parallel chunk
+// size — how many (batch, oc.outer, oh) rows one parallel work item covers
+// (<=1 means one row per item, the historical split); any grain computes
 // bit-identical output.
 func Conv2DNCHWcInto(dst, padScratch *tensor.Tensor, in, weight *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, unrollKer bool, grain int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != icb {

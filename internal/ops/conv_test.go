@@ -26,7 +26,7 @@ func runBlocked(in, wt *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, regN int, un
 	if epi.Residual != nil {
 		blockedEpi.Residual = tensor.ToNCHWc(epi.Residual, ocb)
 	}
-	out := Conv2DNCHWc(blockedIn, blockedWt, attrs, icb, ocb, regN, unroll, blockedEpi, Serial)
+	out := Conv2DNCHWcInto(nil, nil, blockedIn, blockedWt, attrs, icb, ocb, regN, unroll, 1, blockedEpi, Serial)
 	return tensor.FromNCHWc(out)
 }
 
@@ -36,7 +36,7 @@ func TestConv2DNCHWBasic(t *testing.T) {
 	in.Data = []float32{1, 2, 3, 4}
 	wt := tensor.New(tensor.OIHW(), 1, 1, 1, 1)
 	wt.Data = []float32{2}
-	out := Conv2DNCHW(in, wt, Conv2DAttrs{OutC: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, Epilogue{}, nil)
+	out := Conv2DNCHWInto(nil, in, wt, Conv2DAttrs{OutC: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, Epilogue{}, nil)
 	want := []float32{2, 4, 6, 8}
 	for i, v := range want {
 		if out.Data[i] != v {
@@ -52,7 +52,7 @@ func TestConv2DNCHWIdentityKernel(t *testing.T) {
 	for k := 0; k < 4; k++ {
 		wt.Set(1, k, k, 1, 1)
 	}
-	out := Conv2DNCHW(in, wt, Conv2DAttrs{OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, Epilogue{}, nil)
+	out := Conv2DNCHWInto(nil, in, wt, Conv2DAttrs{OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, Epilogue{}, nil)
 	if tensor.MaxAbsDiff(in, out) != 0 {
 		t.Fatal("identity convolution must reproduce input")
 	}
@@ -89,7 +89,7 @@ func TestConvNCHWcMatchesReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			in, wt := convCase(99, tc.c, tc.h, tc.w, tc.oc, tc.kh, tc.kw)
 			attrs := Conv2DAttrs{OutC: tc.oc, KH: tc.kh, KW: tc.kw, StrideH: tc.sh, StrideW: tc.sw, PadH: tc.ph, PadW: tc.pw}
-			ref := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
+			ref := Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{}, nil)
 			got := runBlocked(in, wt, attrs, tc.icb, tc.ocb, tc.regN, tc.unroll, Epilogue{})
 			if !tensor.AllClose(ref, got, 1e-4) {
 				t.Fatalf("blocked conv diverges from reference: max diff %g", tensor.MaxAbsDiff(ref, got))
@@ -101,8 +101,8 @@ func TestConvNCHWcMatchesReference(t *testing.T) {
 func TestConvNHWCMatchesReference(t *testing.T) {
 	in, wt := convCase(5, 8, 10, 10, 12, 3, 3)
 	attrs := Conv2DAttrs{OutC: 12, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	ref := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
-	nhwcOut := Conv2DNHWC(tensor.NCHWToNHWC(in), wt, attrs, Epilogue{}, nil)
+	ref := Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{}, nil)
+	nhwcOut := Conv2DNHWCInto(nil, tensor.NCHWToNHWC(in), wt, attrs, Epilogue{}, nil)
 	got := tensor.NHWCToNCHW(nhwcOut)
 	if !tensor.AllClose(ref, got, 1e-4) {
 		t.Fatalf("NHWC conv diverges: max diff %g", tensor.MaxAbsDiff(ref, got))
@@ -120,7 +120,7 @@ func TestConvEpilogueFusion(t *testing.T) {
 	res.FillRandom(8, 1)
 
 	// Unfused reference: conv, bias via BN-like shift, add, relu.
-	plain := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
+	plain := Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{}, nil)
 	want := plain.Clone()
 	for k := 0; k < 16; k++ {
 		for p := 0; p < 64; p++ {
@@ -132,7 +132,7 @@ func TestConvEpilogueFusion(t *testing.T) {
 
 	// Fused epilogue in both reference and blocked kernels.
 	epi := Epilogue{Bias: bias, Residual: res, ReLU: true}
-	fusedRef := Conv2DNCHW(in, wt, attrs, epi, nil)
+	fusedRef := Conv2DNCHWInto(nil, in, wt, attrs, epi, nil)
 	if !tensor.AllClose(want, fusedRef, 1e-5) {
 		t.Fatalf("reference epilogue fusion wrong: %g", tensor.MaxAbsDiff(want, fusedRef))
 	}
@@ -147,7 +147,7 @@ func TestConvParallelMatchesSerial(t *testing.T) {
 	attrs := Conv2DAttrs{OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	blockedIn := tensor.ToNCHWc(in, 8)
 	blockedWt := tensor.PackWeights(wt, 8, 16)
-	serial := Conv2DNCHWc(blockedIn, blockedWt, attrs, 8, 16, 4, false, Epilogue{}, Serial)
+	serial := Conv2DNCHWcInto(nil, nil, blockedIn, blockedWt, attrs, 8, 16, 4, false, 1, Epilogue{}, Serial)
 	// A crude concurrent ParallelFor with goroutines.
 	goPar := func(n int, body func(i int)) {
 		done := make(chan struct{})
@@ -158,7 +158,7 @@ func TestConvParallelMatchesSerial(t *testing.T) {
 			<-done
 		}
 	}
-	par := Conv2DNCHWc(blockedIn, blockedWt, attrs, 8, 16, 4, false, Epilogue{}, goPar)
+	par := Conv2DNCHWcInto(nil, nil, blockedIn, blockedWt, attrs, 8, 16, 4, false, 1, Epilogue{}, goPar)
 	if tensor.MaxAbsDiff(serial, par) != 0 {
 		t.Fatal("parallel conv must be bit-identical to serial")
 	}
@@ -179,7 +179,7 @@ func TestQuickBlockedConvEquivalence(t *testing.T) {
 		unroll := schedRaw%2 == 0
 		in, wt := convCase(seed, c, g.h, g.w, oc, g.kh, g.kw)
 		attrs := Conv2DAttrs{OutC: oc, KH: g.kh, KW: g.kw, StrideH: g.s, StrideW: g.s, PadH: g.p, PadW: g.p}
-		ref := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
+		ref := Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{}, nil)
 		got := runBlocked(in, wt, attrs, icb, ocb, regN, unroll, Epilogue{})
 		return tensor.AllClose(ref, got, 1e-4)
 	}
@@ -193,14 +193,14 @@ func TestConvNCHWcRejectsBadLayouts(t *testing.T) {
 	attrs := Conv2DAttrs{OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	blockedWt := tensor.PackWeights(wt, 4, 4)
 	mustPanic(t, func() {
-		Conv2DNCHWc(in, blockedWt, attrs, 4, 4, 4, false, Epilogue{}, nil) // input not blocked
+		Conv2DNCHWcInto(nil, nil, in, blockedWt, attrs, 4, 4, 4, false, 1, Epilogue{}, nil) // input not blocked
 	})
 	blockedIn := tensor.ToNCHWc(in, 4)
 	mustPanic(t, func() {
-		Conv2DNCHWc(blockedIn, wt, attrs, 4, 4, 4, false, Epilogue{}, nil) // weight not packed
+		Conv2DNCHWcInto(nil, nil, blockedIn, wt, attrs, 4, 4, 4, false, 1, Epilogue{}, nil) // weight not packed
 	})
 	mustPanic(t, func() {
-		Conv2DNCHWc(blockedIn, blockedWt, attrs, 4, 4, 0, false, Epilogue{}, nil) // bad reg_n
+		Conv2DNCHWcInto(nil, nil, blockedIn, blockedWt, attrs, 4, 4, 0, false, 1, Epilogue{}, nil) // bad reg_n
 	})
 }
 
@@ -213,7 +213,7 @@ func TestConvNCHWcRejectsUncoverableGeometry(t *testing.T) {
 	wt := tensor.New(tensor.OIHWio(4, 4), 1, 1, 3, 3, 4, 4)
 	attrs := Conv2DAttrs{OutC: 4, KH: 3, KW: 3, StrideH: 3, StrideW: 3}
 	mustPanic(t, func() {
-		Conv2DNCHWc(in, wt, attrs, 4, 4, 2, false, Epilogue{}, nil)
+		Conv2DNCHWcInto(nil, nil, in, wt, attrs, 4, 4, 2, false, 1, Epilogue{}, nil)
 	})
 }
 
@@ -236,12 +236,12 @@ func TestConvBatchedMatchesPerImage(t *testing.T) {
 	wt.FillRandom(91, 0.5)
 	attrs := Conv2DAttrs{OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 
-	batched := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
+	batched := Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{}, nil)
 	per := in.NumElements() / 2
 	perOut := batched.NumElements() / 2
 	for img := 0; img < 2; img++ {
 		one := tensor.FromData(tensor.NCHW(), in.Data[img*per:(img+1)*per], 1, 8, 9, 9)
-		want := Conv2DNCHW(one, wt, attrs, Epilogue{}, nil)
+		want := Conv2DNCHWInto(nil, one, wt, attrs, Epilogue{}, nil)
 		got := tensor.FromData(tensor.NCHW(), batched.Data[img*perOut:(img+1)*perOut], 1, 8, 9, 9)
 		if tensor.MaxAbsDiff(want, got) != 0 {
 			t.Fatalf("image %d batched reference conv differs", img)
@@ -251,13 +251,13 @@ func TestConvBatchedMatchesPerImage(t *testing.T) {
 	// Blocked kernel on the same batch.
 	bi := tensor.ToNCHWc(in, 4)
 	bw := tensor.PackWeights(wt, 4, 8)
-	blocked := tensor.FromNCHWc(Conv2DNCHWc(bi, bw, attrs, 4, 8, 4, true, Epilogue{}, nil))
+	blocked := tensor.FromNCHWc(Conv2DNCHWcInto(nil, nil, bi, bw, attrs, 4, 8, 4, true, 1, Epilogue{}, nil))
 	if !tensor.AllClose(batched, blocked, 1e-4) {
 		t.Fatalf("batched blocked conv diverges: %g", tensor.MaxAbsDiff(batched, blocked))
 	}
 
 	// NHWC kernel on the same batch.
-	nhwc := tensor.NHWCToNCHW(Conv2DNHWC(tensor.NCHWToNHWC(in), wt, attrs, Epilogue{}, nil))
+	nhwc := tensor.NHWCToNCHW(Conv2DNHWCInto(nil, tensor.NCHWToNHWC(in), wt, attrs, Epilogue{}, nil))
 	if !tensor.AllClose(batched, nhwc, 1e-4) {
 		t.Fatalf("batched NHWC conv diverges: %g", tensor.MaxAbsDiff(batched, nhwc))
 	}
@@ -269,7 +269,7 @@ func TestConvAsymmetricPadding(t *testing.T) {
 	wt := tensor.New(tensor.OIHW(), 8, 8, 1, 7)
 	wt.FillRandom(96, 0.5)
 	attrs := Conv2DAttrs{OutC: 8, KH: 1, KW: 7, StrideH: 1, StrideW: 1, PadH: 0, PadW: 3}
-	ref := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
+	ref := Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{}, nil)
 	if ref.Shape[2] != 10 || ref.Shape[3] != 10 {
 		t.Fatalf("1x7 conv output shape %v", ref.Shape)
 	}

@@ -6,15 +6,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Dense computes out = in × Wᵀ + b for a rank-2 (batch, inFeatures) input and
-// a (outFeatures, inFeatures) weight. At batch size 1 (the paper's latency
-// setting) this is a GEMV and is bandwidth-bound on the weight matrix.
-func Dense(in, weight *tensor.Tensor, bias []float32, reluAfter bool, pf ParallelFor) *tensor.Tensor {
-	return DenseInto(nil, in, weight, bias, reluAfter, pf)
-}
-
-// DenseInto is Dense writing into a caller-provided destination (nil dst
-// allocates).
+// DenseInto computes out = in × Wᵀ + b for a rank-2 (batch, inFeatures) input
+// and a (outFeatures, inFeatures) weight. At batch size 1 (the paper's
+// latency setting) this is a GEMV and is bandwidth-bound on the weight
+// matrix. It writes into a caller-provided destination (nil dst allocates).
 func DenseInto(dst, in, weight *tensor.Tensor, bias []float32, reluAfter bool, pf ParallelFor) *tensor.Tensor {
 	if in.Rank() != 2 {
 		panic(fmt.Sprintf("ops: Dense expects rank-2 input, got %v", in.Shape))

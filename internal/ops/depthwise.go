@@ -21,15 +21,10 @@ import (
 // dense (C/bn, KH, KW, bn) slab whose innermost dimension matches the
 // activation lanes.
 
-// Conv2DDepthwiseNCHWc computes a depthwise convolution over an NCHW[bn]c
+// Conv2DDepthwiseNCHWcInto computes a depthwise convolution over an NCHW[bn]c
 // input with OIHW[1]i[bn]o weights, register-blocking reg_n output positions
-// exactly like the dense direct template.
-func Conv2DDepthwiseNCHWc(in, weight *tensor.Tensor, attrs Conv2DAttrs, bn, regN int, unrollKer bool, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	return Conv2DDepthwiseNCHWcInto(nil, nil, in, weight, attrs, bn, regN, unrollKer, 1, epi, pf)
-}
-
-// Conv2DDepthwiseNCHWcInto is Conv2DDepthwiseNCHWc writing into
-// caller-provided buffers: dst receives the output and padScratch (sized per
+// exactly like the dense direct template. It writes into caller-provided
+// buffers: dst receives the output and padScratch (sized per
 // PaddedShapeNCHWc, zero-filled at allocation) holds the explicitly padded
 // input. Either may be nil, in which case it is allocated. grain is the
 // schedule's parallel chunk size over (batch, channel-block, out-row) units

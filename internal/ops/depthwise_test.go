@@ -68,11 +68,11 @@ func TestConv2DNCHWGrouped(t *testing.T) {
 		attrs := Conv2DAttrs{OutC: tc.oc, KH: tc.k, KW: tc.k, StrideH: tc.stride, StrideW: tc.stride, PadH: tc.pad, PadW: tc.pad, Groups: tc.groups}
 		in, wt := groupedCase(uint64(i)*7+3, tc.c, 9, 9, tc.oc, tc.k, tc.k, tc.groups)
 		want := refGrouped(in, wt, attrs)
-		got := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
+		got := Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{}, nil)
 		if d := tensor.MaxAbsDiff(want, got); d > 1e-5 {
 			t.Fatalf("case %d: NCHW grouped diverges by %g", i, d)
 		}
-		nhwc := Conv2DNHWC(tensor.NCHWToNHWC(in), wt, attrs, Epilogue{}, nil)
+		nhwc := Conv2DNHWCInto(nil, tensor.NCHWToNHWC(in), wt, attrs, Epilogue{}, nil)
 		if d := tensor.MaxAbsDiff(want, tensor.NHWCToNCHW(nhwc)); d > 1e-5 {
 			t.Fatalf("case %d: NHWC grouped diverges by %g", i, d)
 		}
@@ -87,13 +87,13 @@ func TestConv2DNCHWcGrouped(t *testing.T) {
 	for _, k := range []struct{ kh, stride, pad int }{{3, 1, 1}, {1, 1, 0}, {3, 2, 1}} {
 		attrs := Conv2DAttrs{OutC: oc, KH: k.kh, KW: k.kh, StrideH: k.stride, StrideW: k.stride, PadH: k.pad, PadW: k.pad, Groups: groups}
 		in, wt := groupedCase(11, c, 10, 10, oc, k.kh, k.kh, groups)
-		want := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
+		want := Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{}, nil)
 		for _, icb := range []int{1, 2, 4} { // divisors of c/groups = 4
 			for _, ocb := range []int{2, 4, 8} { // divisors of oc/groups = 8
 				for _, unroll := range []bool{true, false} {
 					blockedIn := tensor.ToNCHWc(in, icb)
 					blockedWt := tensor.PackWeights(wt, icb, ocb)
-					out := Conv2DNCHWc(blockedIn, blockedWt, attrs, icb, ocb, 4, unroll, Epilogue{}, Serial)
+					out := Conv2DNCHWcInto(nil, nil, blockedIn, blockedWt, attrs, icb, ocb, 4, unroll, 1, Epilogue{}, Serial)
 					if d := tensor.MaxAbsDiff(want, tensor.FromNCHWc(out)); d > 1e-5 {
 						t.Fatalf("k=%d icb=%d ocb=%d unroll=%v: blocked grouped diverges by %g", k.kh, icb, ocb, unroll, d)
 					}
@@ -122,7 +122,7 @@ func TestConv2DDepthwiseNCHWc(t *testing.T) {
 		for i := range bias {
 			bias[i] = float32(i%5) * 0.1
 		}
-		want := Conv2DNCHW(in, wt, attrs, Epilogue{Bias: bias, ReLU: true}, nil)
+		want := Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{Bias: bias, ReLU: true}, nil)
 		for _, bn := range []int{4, 8, 16, 3} {
 			if tc.c%bn != 0 {
 				continue
@@ -132,7 +132,7 @@ func TestConv2DDepthwiseNCHWc(t *testing.T) {
 					name := fmt.Sprintf("c=%d k=%d s=%d bn=%d regN=%d unroll=%v", tc.c, tc.k, tc.stride, bn, regN, unroll)
 					blockedIn := tensor.ToNCHWc(in, bn)
 					packed := tensor.PackWeights(wt, 1, bn)
-					out := Conv2DDepthwiseNCHWc(blockedIn, packed, attrs, bn, regN, unroll,
+					out := Conv2DDepthwiseNCHWcInto(nil, nil, blockedIn, packed, attrs, bn, regN, unroll, 1,
 						Epilogue{Bias: bias, ReLU: true}, Serial)
 					if d := tensor.MaxAbsDiff(want, tensor.FromNCHWc(out)); d > 1e-5 {
 						t.Fatalf("%s: depthwise diverges by %g", name, d)
@@ -152,7 +152,7 @@ func TestConv2DDepthwiseNCHWcResidual(t *testing.T) {
 	in, wt := groupedCase(77, c, h, h, c, 3, 3, c)
 	res := tensor.New(tensor.NCHW(), 1, c, h, h)
 	res.FillRandom(99, 1)
-	want := Conv2DNCHW(in, wt, attrs, Epilogue{Residual: res, ReLU: true}, nil)
+	want := Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{Residual: res, ReLU: true}, nil)
 
 	blockedIn := tensor.ToNCHWc(in, bn)
 	packed := tensor.PackWeights(wt, 1, bn)

@@ -7,14 +7,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// ReLU applies max(0, x) element-wise. It is layout-oblivious (Section 3.2
-// category 1): the result carries the input's layout unchanged.
-func ReLU(in *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
-	return ReLUInto(nil, in, pf)
-}
-
-// ReLUInto is ReLU writing into a caller-provided destination (nil dst
-// allocates).
+// ReLUInto applies max(0, x) element-wise. It is layout-oblivious (Section
+// 3.2 category 1): the result carries the input's layout unchanged. It writes
+// into a caller-provided destination (nil dst allocates).
 func ReLUInto(dst, in *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
 	out := tensor.EnsureDst(dst, in.Layout, in.Shape...)
 	applyChunked(len(in.Data), pf, func(lo, hi int) {
@@ -26,15 +21,10 @@ func ReLUInto(dst, in *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
 	return out
 }
 
-// Add computes element-wise a+b. Both operands must share layout and shape:
-// Elementwise_Add is the operation that forces its inputs into a common
-// layout during global search (Section 3.3.2, Figure 3).
-func Add(a, b *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
-	return AddInto(nil, a, b, pf)
-}
-
-// AddInto is Add writing into a caller-provided destination (nil dst
-// allocates).
+// AddInto computes element-wise a+b. Both operands must share layout and
+// shape: Elementwise_Add is the operation that forces its inputs into a
+// common layout during global search (Section 3.3.2, Figure 3). It writes
+// into a caller-provided destination (nil dst allocates).
 func AddInto(dst, a, b *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
 	if !a.Layout.Equal(b.Layout) {
 		panic(fmt.Sprintf("ops: Add layout mismatch %v vs %v", a.Layout, b.Layout))
@@ -52,14 +42,9 @@ func AddInto(dst, a, b *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
 	return out
 }
 
-// Softmax computes a numerically-stable softmax over the last dimension of a
-// rank-2 (batch, classes) tensor.
-func Softmax(in *tensor.Tensor) *tensor.Tensor {
-	return SoftmaxInto(nil, in)
-}
-
-// SoftmaxInto is Softmax writing into a caller-provided destination (nil dst
-// allocates).
+// SoftmaxInto computes a numerically-stable softmax over the last dimension
+// of a rank-2 (batch, classes) tensor. It writes into a caller-provided
+// destination (nil dst allocates).
 func SoftmaxInto(dst, in *tensor.Tensor) *tensor.Tensor {
 	if in.Rank() != 2 {
 		panic(fmt.Sprintf("ops: Softmax expects rank-2 input, got %v", in.Shape))
@@ -89,28 +74,11 @@ func SoftmaxInto(dst, in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Sigmoid applies 1/(1+exp(-x)) element-wise.
-func Sigmoid(in *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
-	out := tensor.New(in.Layout, in.Shape...)
-	applyChunked(len(in.Data), pf, func(lo, hi int) {
-		src, dst := in.Data[lo:hi], out.Data[lo:hi]
-		for i, v := range src {
-			dst[i] = float32(1 / (1 + math.Exp(-float64(v))))
-		}
-	})
-	return out
-}
-
-// Flatten reshapes an NCHW activation to (batch, C*H*W). It is the canonical
-// layout-dependent operation (Section 3.2 category 3): blocked inputs must be
-// transformed back to NCHW before flattening, which is why the optimized
-// layout flow stops here in Figure 2.
-func Flatten(in *tensor.Tensor) *tensor.Tensor {
-	return FlattenInto(nil, in)
-}
-
-// FlattenInto is Flatten writing into a caller-provided destination (nil dst
-// allocates).
+// FlattenInto reshapes an NCHW activation to (batch, C*H*W). It is the
+// canonical layout-dependent operation (Section 3.2 category 3): blocked
+// inputs must be transformed back to NCHW before flattening, which is why the
+// optimized layout flow stops here in Figure 2. It writes into a
+// caller-provided destination (nil dst allocates).
 func FlattenInto(dst, in *tensor.Tensor) *tensor.Tensor {
 	switch in.Layout.Kind {
 	case tensor.LayoutNCHW:

@@ -6,9 +6,10 @@
 // convolutions in CNN models (pooling, batch norm, activations, element-wise
 // arithmetic, dense layers and the SSD multibox head).
 //
-// All kernels are pure functions over tensor.Tensor values. Parallel kernels
-// accept a ParallelFor so the caller chooses the threading runtime (the
-// custom thread pool, the OpenMP-style pool, or serial execution).
+// Each kernel has one entry point, an ...Into function that writes its result
+// into a caller-provided destination (nil allocates). Parallel kernels accept
+// a ParallelFor so the caller chooses the threading runtime (the custom
+// thread pool, the OpenMP-style pool, or serial execution).
 package ops
 
 import (

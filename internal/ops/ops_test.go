@@ -10,7 +10,7 @@ import (
 
 func TestReLU(t *testing.T) {
 	in := tensor.FromData(tensor.NCHW(), []float32{-1, 0, 2.5, -0.001}, 1, 1, 2, 2)
-	out := ReLU(in, nil)
+	out := ReLUInto(nil, in, nil)
 	want := []float32{0, 0, 2.5, 0}
 	for i, v := range want {
 		if out.Data[i] != v {
@@ -28,8 +28,8 @@ func TestReLULayoutOblivious(t *testing.T) {
 	in := tensor.New(tensor.NCHW(), 1, 8, 5, 5)
 	in.FillRandom(42, 2)
 	blocked := tensor.ToNCHWc(in, 4)
-	a := tensor.FromNCHWc(ReLU(blocked, nil))
-	b := ReLU(in, nil)
+	a := tensor.FromNCHWc(ReLUInto(nil, blocked, nil))
+	b := ReLUInto(nil, in, nil)
 	if tensor.MaxAbsDiff(a, b) != 0 {
 		t.Fatal("ReLU must commute with layout transforms")
 	}
@@ -38,18 +38,18 @@ func TestReLULayoutOblivious(t *testing.T) {
 func TestAdd(t *testing.T) {
 	a := tensor.FromData(tensor.NCHW(), []float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	b := tensor.FromData(tensor.NCHW(), []float32{10, 20, 30, 40}, 1, 1, 2, 2)
-	out := Add(a, b, nil)
+	out := AddInto(nil, a, b, nil)
 	for i := range out.Data {
 		if out.Data[i] != a.Data[i]+b.Data[i] {
 			t.Fatalf("Add wrong at %d", i)
 		}
 	}
-	mustPanic(t, func() { Add(a, tensor.ToNCHWc(b, 1), nil) })
+	mustPanic(t, func() { AddInto(nil, a, tensor.ToNCHWc(b, 1), nil) })
 }
 
 func TestSoftmax(t *testing.T) {
 	in := tensor.FromData(tensor.Flat(), []float32{1, 2, 3, 4, 1000, 1000, 1000, 1000}, 2, 4)
-	out := Softmax(in)
+	out := SoftmaxInto(nil, in)
 	for b := 0; b < 2; b++ {
 		var sum float64
 		for i := 0; i < 4; i++ {
@@ -73,18 +73,10 @@ func TestSoftmax(t *testing.T) {
 	}
 }
 
-func TestSigmoid(t *testing.T) {
-	in := tensor.FromData(tensor.Flat(), []float32{0, 100, -100}, 1, 3)
-	out := Sigmoid(in, nil)
-	if math.Abs(float64(out.Data[0])-0.5) > 1e-6 || out.Data[1] < 0.999 || out.Data[2] > 0.001 {
-		t.Fatalf("sigmoid wrong: %v", out.Data)
-	}
-}
-
 func TestFlatten(t *testing.T) {
 	in := tensor.New(tensor.NCHW(), 2, 3, 4, 5)
 	in.FillSeq()
-	out := Flatten(in)
+	out := FlattenInto(nil, in)
 	if out.Shape[0] != 2 || out.Shape[1] != 60 {
 		t.Fatalf("Flatten shape = %v", out.Shape)
 	}
@@ -92,7 +84,7 @@ func TestFlatten(t *testing.T) {
 		t.Fatal("Flatten must produce flat layout")
 	}
 	// Layout-dependent: blocked input must be rejected.
-	mustPanic(t, func() { Flatten(tensor.ToNCHWc(in.Reshape(tensor.NCHW(), 2, 3, 4, 5), 3)) })
+	mustPanic(t, func() { FlattenInto(nil, tensor.ToNCHWc(in.Reshape(tensor.NCHW(), 2, 3, 4, 5), 3)) })
 }
 
 func TestMaxPool(t *testing.T) {
@@ -102,7 +94,7 @@ func TestMaxPool(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	out := Pool2D(in, PoolAttrs{Kind: MaxPool, KH: 2, KW: 2, StrideH: 2, StrideW: 2}, nil)
+	out := Pool2DInto(nil, in, PoolAttrs{Kind: MaxPool, KH: 2, KW: 2, StrideH: 2, StrideW: 2}, nil)
 	want := []float32{6, 8, 14, 16}
 	for i, v := range want {
 		if out.Data[i] != v {
@@ -118,7 +110,7 @@ func TestAvgPool(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	out := Pool2D(in, PoolAttrs{Kind: AvgPool, KH: 2, KW: 2, StrideH: 2, StrideW: 2}, nil)
+	out := Pool2DInto(nil, in, PoolAttrs{Kind: AvgPool, KH: 2, KW: 2, StrideH: 2, StrideW: 2}, nil)
 	want := []float32{3.5, 5.5, 11.5, 13.5}
 	for i, v := range want {
 		if out.Data[i] != v {
@@ -133,8 +125,8 @@ func TestPoolLayoutTolerant(t *testing.T) {
 	in := tensor.New(tensor.NCHW(), 1, 16, 9, 9)
 	in.FillRandom(3, 1)
 	attrs := PoolAttrs{Kind: MaxPool, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
-	ref := Pool2D(in, attrs, nil)
-	blocked := Pool2D(tensor.ToNCHWc(in, 8), attrs, nil)
+	ref := Pool2DInto(nil, in, attrs, nil)
+	blocked := Pool2DInto(nil, tensor.ToNCHWc(in, 8), attrs, nil)
 	if blocked.Layout.BlockC != 8 {
 		t.Fatal("blocked pooling must preserve block size")
 	}
@@ -143,8 +135,8 @@ func TestPoolLayoutTolerant(t *testing.T) {
 	}
 	// Same for average pooling.
 	attrs.Kind = AvgPool
-	ref = Pool2D(in, attrs, nil)
-	blocked = Pool2D(tensor.ToNCHWc(in, 4), attrs, nil)
+	ref = Pool2DInto(nil, in, attrs, nil)
+	blocked = Pool2DInto(nil, tensor.ToNCHWc(in, 4), attrs, nil)
 	if tensor.MaxAbsDiff(ref, tensor.FromNCHWc(blocked)) > 1e-6 {
 		t.Fatal("blocked avg pooling diverges")
 	}
@@ -157,7 +149,7 @@ func TestGlobalAvgPool(t *testing.T) {
 			in.Data[c*9+p] = float32(c)
 		}
 	}
-	out := GlobalAvgPool(in, nil)
+	out := GlobalAvgPoolInto(nil, in, nil)
 	for c := 0; c < 4; c++ {
 		if out.At(0, c, 0, 0) != float32(c) {
 			t.Fatalf("gap channel %d = %v", c, out.At(0, c, 0, 0))
@@ -165,8 +157,8 @@ func TestGlobalAvgPool(t *testing.T) {
 	}
 	// Blocked input gives the same result in NCHW output.
 	in.FillRandom(9, 1)
-	a := GlobalAvgPool(in, nil)
-	b := GlobalAvgPool(tensor.ToNCHWc(in, 2), nil)
+	a := GlobalAvgPoolInto(nil, in, nil)
+	b := GlobalAvgPoolInto(nil, tensor.ToNCHWc(in, 2), nil)
 	if tensor.MaxAbsDiff(a, b) > 1e-6 {
 		t.Fatal("blocked global pool diverges")
 	}
@@ -182,7 +174,7 @@ func TestBatchNormInference(t *testing.T) {
 		Var:   []float32{4, 1},
 		Eps:   0,
 	}
-	out := BatchNormInference(in, p, nil)
+	out := BatchNormInferenceInto(nil, in, p, nil)
 	// y = gamma*(x-mean)/sqrt(var) + beta
 	for c := 0; c < 2; c++ {
 		for i := 0; i < 4; i++ {
@@ -199,8 +191,8 @@ func TestBatchNormLayoutTolerant(t *testing.T) {
 	in := tensor.New(tensor.NCHW(), 1, 8, 4, 4)
 	in.FillRandom(11, 1)
 	p := randomBN(8, 12)
-	ref := BatchNormInference(in, p, nil)
-	blocked := BatchNormInference(tensor.ToNCHWc(in, 4), p, nil)
+	ref := BatchNormInferenceInto(nil, in, p, nil)
+	blocked := BatchNormInferenceInto(nil, tensor.ToNCHWc(in, 4), p, nil)
 	if tensor.MaxAbsDiff(ref, tensor.FromNCHWc(blocked)) > 1e-5 {
 		t.Fatal("blocked batchnorm diverges")
 	}
@@ -232,11 +224,11 @@ func TestFoldBatchNormEquivalence(t *testing.T) {
 	attrs := Conv2DAttrs{OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	p := randomBN(16, 31)
 
-	convOut := Conv2DNCHW(in, wt, attrs, Epilogue{}, nil)
-	want := BatchNormInference(convOut, p, nil)
+	convOut := Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{}, nil)
+	want := BatchNormInferenceInto(nil, convOut, p, nil)
 
 	foldedW, foldedB := FoldBatchNorm(wt, nil, p)
-	got := Conv2DNCHW(in, foldedW, attrs, Epilogue{Bias: foldedB}, nil)
+	got := Conv2DNCHWInto(nil, in, foldedW, attrs, Epilogue{Bias: foldedB}, nil)
 	if !tensor.AllClose(want, got, 1e-4) {
 		t.Fatalf("folded BN diverges: %g", tensor.MaxAbsDiff(want, got))
 	}
@@ -246,10 +238,10 @@ func TestFoldBatchNormEquivalence(t *testing.T) {
 	for i := range bias {
 		bias[i] = float32(i) * 0.01
 	}
-	convOut = Conv2DNCHW(in, wt, attrs, Epilogue{Bias: bias}, nil)
-	want = BatchNormInference(convOut, p, nil)
+	convOut = Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{Bias: bias}, nil)
+	want = BatchNormInferenceInto(nil, convOut, p, nil)
 	foldedW, foldedB = FoldBatchNorm(wt, bias, p)
-	got = Conv2DNCHW(in, foldedW, attrs, Epilogue{Bias: foldedB}, nil)
+	got = Conv2DNCHWInto(nil, in, foldedW, attrs, Epilogue{Bias: foldedB}, nil)
 	if !tensor.AllClose(want, got, 1e-4) {
 		t.Fatalf("folded BN with bias diverges: %g", tensor.MaxAbsDiff(want, got))
 	}
@@ -260,9 +252,9 @@ func TestQuickFoldBatchNorm(t *testing.T) {
 		in, wt := convCase(seed, 4, 5, 5, 8, 3, 3)
 		attrs := Conv2DAttrs{OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 		p := randomBN(8, seed+100)
-		want := BatchNormInference(Conv2DNCHW(in, wt, attrs, Epilogue{}, nil), p, nil)
+		want := BatchNormInferenceInto(nil, Conv2DNCHWInto(nil, in, wt, attrs, Epilogue{}, nil), p, nil)
 		fw, fb := FoldBatchNorm(wt, nil, p)
-		got := Conv2DNCHW(in, fw, attrs, Epilogue{Bias: fb}, nil)
+		got := Conv2DNCHWInto(nil, in, fw, attrs, Epilogue{Bias: fb}, nil)
 		return tensor.AllClose(want, got, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -278,7 +270,7 @@ func TestDense(t *testing.T) {
 		1, 1, 1,
 		-1, -1, -1,
 	}, 4, 3)
-	out := Dense(in, wt, []float32{0, 0, 0, 100}, false, nil)
+	out := DenseInto(nil, in, wt, []float32{0, 0, 0, 100}, false, nil)
 	want := []float32{1, 2, 6, 94}
 	for i, v := range want {
 		if out.Data[i] != v {
@@ -286,7 +278,7 @@ func TestDense(t *testing.T) {
 		}
 	}
 	// ReLU variant.
-	out = Dense(in, wt, []float32{0, 0, 0, -100}, true, nil)
+	out = DenseInto(nil, in, wt, []float32{0, 0, 0, -100}, true, nil)
 	if out.Data[3] != 0 {
 		t.Fatalf("dense relu failed: %v", out.Data[3])
 	}
@@ -299,7 +291,7 @@ func TestDenseUnrollTail(t *testing.T) {
 		in.FillRandom(uint64(inF), 1)
 		wt := tensor.New(tensor.Flat(), 2, inF)
 		wt.FillRandom(uint64(inF)+50, 1)
-		out := Dense(in, wt, nil, false, nil)
+		out := DenseInto(nil, in, wt, nil, false, nil)
 		for o := 0; o < 2; o++ {
 			var want float64
 			for i := 0; i < inF; i++ {
@@ -317,7 +309,7 @@ func TestConcatNCHW(t *testing.T) {
 	a.Fill(1)
 	b := tensor.New(tensor.NCHW(), 1, 3, 2, 2)
 	b.Fill(2)
-	out := Concat([]*tensor.Tensor{a, b}, nil)
+	out := ConcatInto(nil, []*tensor.Tensor{a, b}, nil)
 	if out.Shape[1] != 5 {
 		t.Fatalf("concat channels = %d, want 5", out.Shape[1])
 	}
@@ -331,13 +323,13 @@ func TestConcatBlockedMatchesNCHW(t *testing.T) {
 	a.FillRandom(1, 1)
 	b := tensor.New(tensor.NCHW(), 1, 16, 3, 3)
 	b.FillRandom(2, 1)
-	ref := Concat([]*tensor.Tensor{a, b}, nil)
-	blocked := Concat([]*tensor.Tensor{tensor.ToNCHWc(a, 8), tensor.ToNCHWc(b, 8)}, nil)
+	ref := ConcatInto(nil, []*tensor.Tensor{a, b}, nil)
+	blocked := ConcatInto(nil, []*tensor.Tensor{tensor.ToNCHWc(a, 8), tensor.ToNCHWc(b, 8)}, nil)
 	if tensor.MaxAbsDiff(ref, tensor.FromNCHWc(blocked)) != 0 {
 		t.Fatal("blocked concat diverges from NCHW concat")
 	}
 	mustPanic(t, func() {
-		Concat([]*tensor.Tensor{tensor.ToNCHWc(a, 8), tensor.ToNCHWc(b, 4)}, nil)
+		ConcatInto(nil, []*tensor.Tensor{tensor.ToNCHWc(a, 8), tensor.ToNCHWc(b, 4)}, nil)
 	})
 }
 
@@ -413,7 +405,7 @@ func TestApplyChunkedCoversAll(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = -1
 	}
-	out := ReLU(in, nil)
+	out := ReLUInto(nil, in, nil)
 	for i, v := range out.Data {
 		if v != 0 {
 			t.Fatalf("element %d not processed: %v", i, v)

@@ -33,15 +33,10 @@ func (a PoolAttrs) OutSize(h, w int) (int, int) {
 	return (h+2*a.PadH-a.KH)/a.StrideH + 1, (w+2*a.PadW-a.KW)/a.StrideW + 1
 }
 
-// Pool2D performs spatial pooling. It is layout-tolerant (Section 3.2
+// Pool2DInto performs spatial pooling. It is layout-tolerant (Section 3.2
 // category 2): it handles both NCHW and NCHW[x]c inputs and preserves the
 // input layout, so a blocked layout flows through it without transformation.
-func Pool2D(in *tensor.Tensor, attrs PoolAttrs, pf ParallelFor) *tensor.Tensor {
-	return Pool2DInto(nil, in, attrs, pf)
-}
-
-// Pool2DInto is Pool2D writing into a caller-provided destination (nil dst
-// allocates).
+// It writes into a caller-provided destination (nil dst allocates).
 func Pool2DInto(dst, in *tensor.Tensor, attrs PoolAttrs, pf ParallelFor) *tensor.Tensor {
 	switch in.Layout.Kind {
 	case tensor.LayoutNCHW:
@@ -135,15 +130,10 @@ func poolWindow(src []float32, h, w, stride, off, oy, ox int, attrs PoolAttrs) f
 	return sum / float32(count)
 }
 
-// GlobalAvgPool reduces each channel's full feature map to one value,
+// GlobalAvgPoolInto reduces each channel's full feature map to one value,
 // returning an NCHW tensor of shape (N, C, 1, 1). Layout-tolerant: accepts
-// NCHW and NCHWc.
-func GlobalAvgPool(in *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
-	return GlobalAvgPoolInto(nil, in, pf)
-}
-
-// GlobalAvgPoolInto is GlobalAvgPool writing into a caller-provided
-// destination (nil dst allocates).
+// NCHW and NCHWc. It writes into a caller-provided destination (nil dst
+// allocates).
 func GlobalAvgPoolInto(dst, in *tensor.Tensor, pf ParallelFor) *tensor.Tensor {
 	switch in.Layout.Kind {
 	case tensor.LayoutNCHW:

@@ -11,7 +11,8 @@ import (
 // (Section 6) and notes NeoCPU is compatible with such kernels (Section 1).
 // This implementation slots in beside the direct template: same OIHW weights
 // (transformed once at compile time, like the layout pre-packing), same
-// epilogue fusion, NCHW activations, 3x3 stride-1 convolutions only.
+// epilogue fusion, blocked NCHW[x]c activations, 3x3 stride-1 convolutions
+// only.
 //
 // Per 2x2 output tile the algorithm computes
 //
@@ -20,13 +21,13 @@ import (
 // with the canonical F(2,3) matrices, replacing 36 multiplies by 16 per
 // channel pair (a 2.25x multiply reduction).
 
-// WinogradWeightTransform computes U = G g Gᵀ for every (out, in) channel
+// winogradWeightTransform computes U = G g Gᵀ for every (out, in) channel
 // pair of a 3x3 OIHW weight. The result is stored as a flat tensor of shape
 // (16, O, I): component-major so the inner accumulation over input channels
 // is contiguous.
-func WinogradWeightTransform(weight *tensor.Tensor) *tensor.Tensor {
+func winogradWeightTransform(weight *tensor.Tensor) *tensor.Tensor {
 	if weight.Layout.Kind != tensor.LayoutOIHW {
-		panic(fmt.Sprintf("ops: WinogradWeightTransform expects OIHW, got %v", weight.Layout))
+		panic(fmt.Sprintf("ops: WinogradWeightTransformNCHWc expects OIHW, got %v", weight.Layout))
 	}
 	o, i, kh, kw := weight.Shape[0], weight.Shape[1], weight.Shape[2], weight.Shape[3]
 	if kh != 3 || kw != 3 {
@@ -68,7 +69,7 @@ func WinogradWeightTransform(weight *tensor.Tensor) *tensor.Tensor {
 // vector, exactly like the direct template's weight slab. Like PackWeights,
 // this runs once at compile time.
 func WinogradWeightTransformNCHWc(weight *tensor.Tensor, icb, ocb int) *tensor.Tensor {
-	u := WinogradWeightTransform(weight) // (16, O, I)
+	u := winogradWeightTransform(weight) // (16, O, I)
 	o, i := u.Shape[1], u.Shape[2]
 	if icb <= 0 || i%icb != 0 {
 		panic(fmt.Sprintf("ops: in-channels %d not divisible by block %d", i, icb))
@@ -102,23 +103,20 @@ func WinogradScratchShape(inShape []int, attrs Conv2DAttrs) []int {
 	return []int{n * tilesH, 16 * icOuter * icb}
 }
 
-// Conv2DWinogradNCHWc is the Winograd F(2x2, 3x3) convolution in the blocked
-// NCHW[x]c layout: it consumes NCHW[icb]c activations and produces
+// Conv2DWinogradNCHWcInto is the Winograd F(2x2, 3x3) convolution in the
+// blocked NCHW[x]c layout: it consumes NCHW[icb]c activations and produces
 // NCHW[ocb]c, presenting exactly the direct template's layout interface so
 // graph-level transform elimination applies unchanged. Weights must be
 // pre-transformed by WinogradWeightTransformNCHWc.
-func Conv2DWinogradNCHWc(in, transformed *tensor.Tensor, attrs Conv2DAttrs, icb, ocb int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	return Conv2DWinogradNCHWcInto(nil, nil, in, transformed, attrs, icb, ocb, 1, epi, pf)
-}
-
-// Conv2DWinogradNCHWcInto is Conv2DWinogradNCHWc writing into caller-provided
-// buffers: dst receives the blocked output and scratch (sized per
-// WinogradScratchShape) holds the per-row V tiles. Either may be nil, in
-// which case it is allocated. Padding is applied implicitly by the data
-// transform's border handling — no explicit padding scratch is needed.
-// grain is the schedule's parallel chunk size over (batch, tile-row) units
-// (<=1 means one tile row per work item); any grain computes bit-identical
-// output, and each unit keeps its own V-scratch row regardless of chunking.
+//
+// It writes into caller-provided buffers: dst receives the blocked output and
+// scratch (sized per WinogradScratchShape) holds the per-row V tiles. Either
+// may be nil, in which case it is allocated. Padding is applied implicitly by
+// the data transform's border handling — no explicit padding scratch is
+// needed. grain is the schedule's parallel chunk size over (batch, tile-row)
+// units (<=1 means one tile row per work item); any grain computes
+// bit-identical output, and each unit keeps its own V-scratch row regardless
+// of chunking.
 func Conv2DWinogradNCHWcInto(dst, scratch *tensor.Tensor, in, transformed *tensor.Tensor, attrs Conv2DAttrs, icb, ocb, grain int, epi Epilogue, pf ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != icb {
 		panic(fmt.Sprintf("ops: Conv2DWinogradNCHWc expects NCHW%dc input, got %v", icb, in.Layout))
@@ -321,138 +319,4 @@ func winogradAccum(m, u, v []float32, ocb int) {
 			}
 		}
 	}
-}
-
-// Conv2DWinograd performs a 3x3 stride-1 convolution over an NCHW input
-// using the F(2x2, 3x3) Winograd algorithm with pre-transformed weights from
-// WinogradWeightTransform. Odd output dimensions are handled by computing
-// the final partial tile and discarding the out-of-range half.
-func Conv2DWinograd(in, transformed *tensor.Tensor, attrs Conv2DAttrs, epi Epilogue, pf ParallelFor) *tensor.Tensor {
-	if in.Layout.Kind != tensor.LayoutNCHW {
-		panic(fmt.Sprintf("ops: Conv2DWinograd expects NCHW input, got %v", in.Layout))
-	}
-	if attrs.KH != 3 || attrs.KW != 3 || attrs.StrideH != 1 || attrs.StrideW != 1 {
-		panic("ops: Conv2DWinograd supports 3x3 stride-1 convolutions only")
-	}
-	n, c, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	oc := transformed.Shape[1]
-	if transformed.Shape[0] != 16 || transformed.Shape[2] != c {
-		panic(fmt.Sprintf("ops: transformed weight shape %v inconsistent with input channels %d", transformed.Shape, c))
-	}
-	oh, ow := attrs.OutSize(h, w)
-	out := tensor.New(tensor.NCHW(), n, oc, oh, ow)
-	if pf == nil {
-		pf = Serial
-	}
-
-	tilesH := (oh + 1) / 2
-	tilesW := (ow + 1) / 2
-	ocIn := oc * c
-
-	pf(n*tilesH, func(unit int) {
-		b := unit / tilesH
-		th := unit % tilesH
-		// Per-row scratch: V tiles for all channels, M accumulators.
-		v := make([]float32, 16*c)
-		m := make([]float32, 16*oc)
-		for tw := 0; tw < tilesW; tw++ {
-			oy := th * 2
-			ox := tw * 2
-			// Input tile origin (top-left of the 4x4 patch).
-			iy0 := oy - attrs.PadH
-			ix0 := ox - attrs.PadW
-
-			// V = Bᵀ d B per input channel.
-			for ch := 0; ch < c; ch++ {
-				var d [4][4]float32
-				base := (b*c + ch) * h * w
-				for r := 0; r < 4; r++ {
-					iy := iy0 + r
-					if iy < 0 || iy >= h {
-						continue
-					}
-					row := in.Data[base+iy*w:]
-					for cc := 0; cc < 4; cc++ {
-						ix := ix0 + cc
-						if ix >= 0 && ix < w {
-							d[r][cc] = row[ix]
-						}
-					}
-				}
-				// t = Bᵀ d, with Bᵀ = [1 0 -1 0; 0 1 1 0; 0 -1 1 0; 0 1 0 -1].
-				var t [4][4]float32
-				for cc := 0; cc < 4; cc++ {
-					t[0][cc] = d[0][cc] - d[2][cc]
-					t[1][cc] = d[1][cc] + d[2][cc]
-					t[2][cc] = d[2][cc] - d[1][cc]
-					t[3][cc] = d[1][cc] - d[3][cc]
-				}
-				// V = t B.
-				for r := 0; r < 4; r++ {
-					v[(r*4+0)*c+ch] = t[r][0] - t[r][2]
-					v[(r*4+1)*c+ch] = t[r][1] + t[r][2]
-					v[(r*4+2)*c+ch] = t[r][2] - t[r][1]
-					v[(r*4+3)*c+ch] = t[r][1] - t[r][3]
-				}
-			}
-
-			// M[xi][k] = Σ_ch U[xi][k][ch] * V[xi][ch]: the element-wise
-			// product in the transform domain, reduced over input channels.
-			for xi := 0; xi < 16; xi++ {
-				uBase := xi * ocIn
-				vSeg := v[xi*c : xi*c+c]
-				mSeg := m[xi*oc : xi*oc+oc]
-				for k := 0; k < oc; k++ {
-					uSeg := transformed.Data[uBase+k*c : uBase+k*c+c]
-					var acc float32
-					for ch := range vSeg {
-						acc += uSeg[ch] * vSeg[ch]
-					}
-					mSeg[k] = acc
-				}
-			}
-
-			// Y = Aᵀ M A per output channel, with Aᵀ = [1 1 1 0; 0 1 -1 -1].
-			for k := 0; k < oc; k++ {
-				var mm [4][4]float32
-				for r := 0; r < 4; r++ {
-					for cc := 0; cc < 4; cc++ {
-						mm[r][cc] = m[(r*4+cc)*oc+k]
-					}
-				}
-				var t0, t1 [4]float32
-				for cc := 0; cc < 4; cc++ {
-					t0[cc] = mm[0][cc] + mm[1][cc] + mm[2][cc]
-					t1[cc] = mm[1][cc] - mm[2][cc] - mm[3][cc]
-				}
-				y00 := t0[0] + t0[1] + t0[2]
-				y01 := t0[1] - t0[2] - t0[3]
-				y10 := t1[0] + t1[1] + t1[2]
-				y11 := t1[1] - t1[2] - t1[3]
-
-				store := func(dy, dx int, val float32) {
-					yy, xx := oy+dy, ox+dx
-					if yy >= oh || xx >= ow {
-						return
-					}
-					idx := ((b*oc+k)*oh+yy)*ow + xx
-					if epi.Bias != nil {
-						val += epi.Bias[k]
-					}
-					if epi.Residual != nil {
-						val += epi.Residual.Data[idx]
-					}
-					if epi.ReLU {
-						val = relu32(val)
-					}
-					out.Data[idx] = val
-				}
-				store(0, 0, y00)
-				store(0, 1, y01)
-				store(1, 0, y10)
-				store(1, 1, y11)
-			}
-		}
-	})
-	return out
 }

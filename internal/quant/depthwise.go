@@ -7,22 +7,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2DInt8DepthwiseNCHWc is the quantized depthwise convolution: int8
+// Conv2DInt8DepthwiseNCHWcInto is the quantized depthwise convolution: int8
 // activations in NCHW[bn]c, int8 per-channel weights in the degenerate
-// OIHW[1]i[bn]o layout (see ops.Conv2DDepthwiseNCHWc), int32 lane-wise
+// OIHW[1]i[bn]o layout (see ops.Conv2DDepthwiseNCHWcInto), int32 lane-wise
 // accumulation, and float32 output with the fused epilogue — the scalar
 // stand-in for a vpmaddwd-per-lane depthwise kernel.
-func Conv2DInt8DepthwiseNCHWc(in *QTensor, weight *QTensor, attrs ops.Conv2DAttrs, bn, regN int, epi ops.Epilogue, pf ops.ParallelFor) *tensor.Tensor {
-	return Conv2DInt8DepthwiseNCHWcInto(nil, in, weight, attrs, bn, regN, 1, epi, pf)
-}
-
-// Conv2DInt8DepthwiseNCHWcInto is Conv2DInt8DepthwiseNCHWc writing the
-// rescaled float32 output into a caller-provided destination (nil dst
-// allocates). The quantized padding buffer is produced per call, as with the
-// dense int8 template: dynamic activation quantization is per-inference work.
-// grain is the schedule's parallel chunk size over (batch, channel-block,
-// out-row) units (<=1 means one row per work item); chunking amortizes the
-// accumulator allocation, and every grain is bit-identical.
+//
+// It writes the rescaled float32 output into a caller-provided destination
+// (nil dst allocates). The quantized padding buffer is produced per call, as
+// with the dense int8 template: dynamic activation quantization is
+// per-inference work. grain is the schedule's parallel chunk size over
+// (batch, channel-block, out-row) units (<=1 means one row per work item);
+// chunking amortizes the accumulator allocation, and every grain is
+// bit-identical.
 func Conv2DInt8DepthwiseNCHWcInto(dst *tensor.Tensor, in *QTensor, weight *QTensor, attrs ops.Conv2DAttrs, bn, regN, grain int, epi ops.Epilogue, pf ops.ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != bn {
 		panic(fmt.Sprintf("quant: expected NCHW%dc input, got %v", bn, in.Layout))

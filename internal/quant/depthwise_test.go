@@ -24,12 +24,12 @@ func TestInt8DepthwiseMatchesFloat(t *testing.T) {
 
 	for _, bn := range []int{4, 8, 16} {
 		blockedIn := tensor.ToNCHWc(in, bn)
-		want := ops.Conv2DDepthwiseNCHWc(blockedIn, tensor.PackWeights(wt, 1, bn), attrs, bn, 4, true,
+		want := ops.Conv2DDepthwiseNCHWcInto(nil, nil, blockedIn, tensor.PackWeights(wt, 1, bn), attrs, bn, 4, true, 1,
 			ops.Epilogue{Bias: bias, ReLU: true}, nil)
 
 		qin := Quantize(blockedIn)
 		qw := PackWeightsOIHWio(QuantizeWeightsPerChannel(wt), 1, bn)
-		got := Conv2DInt8DepthwiseNCHWc(qin, qw, attrs, bn, 4, ops.Epilogue{Bias: bias, ReLU: true}, nil)
+		got := Conv2DInt8DepthwiseNCHWcInto(nil, qin, qw, attrs, bn, 4, 1, ops.Epilogue{Bias: bias, ReLU: true}, nil)
 
 		// Error bound: each int8 product carries at most sIn/2 + sW/2 relative
 		// error per operand over a 9-term reduction; 0.05 absolute is generous
@@ -52,11 +52,11 @@ func TestInt8GroupedMatchesFloat(t *testing.T) {
 
 	const icb, ocb = 4, 8 // divisors of c/groups and oc/groups
 	blockedIn := tensor.ToNCHWc(in, icb)
-	want := ops.Conv2DNCHWc(blockedIn, tensor.PackWeights(wt, icb, ocb), attrs, icb, ocb, 4, true, ops.Epilogue{}, nil)
+	want := ops.Conv2DNCHWcInto(nil, nil, blockedIn, tensor.PackWeights(wt, icb, ocb), attrs, icb, ocb, 4, true, 1, ops.Epilogue{}, nil)
 
 	qin := Quantize(blockedIn)
 	qw := PackWeightsOIHWio(QuantizeWeightsPerChannel(wt), icb, ocb)
-	got := Conv2DInt8NCHWc(qin, qw, attrs, icb, ocb, 4, ops.Epilogue{}, nil)
+	got := Conv2DInt8NCHWcInto(nil, qin, qw, attrs, icb, ocb, 4, 1, ops.Epilogue{}, nil)
 
 	if d := tensor.MaxAbsDiff(want, got); d > 0.05 {
 		t.Fatalf("int8 grouped diverges from fp32 by %g", d)

@@ -202,21 +202,19 @@ func PackWeightsOIHWio(q *QTensor, x, y int) *QTensor {
 	return out
 }
 
-// Conv2DInt8NCHWc is the quantized counterpart of the Algorithm-1 template:
-// int8 activations and weights in the blocked layouts, int32 accumulator
-// tiles (the scalar stand-in for VNNI/vpdpbusd or NEON sdot chains), with
-// the output rescaled back to float32 and the same fused epilogue options.
-func Conv2DInt8NCHWc(in *QTensor, weight *QTensor, attrs ops.Conv2DAttrs, icb, ocb, regN int, epi ops.Epilogue, pf ops.ParallelFor) *tensor.Tensor {
-	return Conv2DInt8NCHWcInto(nil, in, weight, attrs, icb, ocb, regN, 1, epi, pf)
-}
-
-// Conv2DInt8NCHWcInto is Conv2DInt8NCHWc writing the rescaled float32 output
-// into a caller-provided destination (nil dst allocates). The quantized
-// input/padding buffers are still produced per call: dynamic activation
-// quantization is inherently per-inference work. grain is the schedule's
-// parallel chunk size over (batch, oc-block, out-row) units (<=1 means one
-// row per work item); chunking also amortizes the int32 accumulator-tile
-// allocation across a chunk's rows, and every grain is bit-identical.
+// Conv2DInt8NCHWcInto is the quantized counterpart of the Algorithm-1
+// template: int8 activations and weights in the blocked layouts, int32
+// accumulator tiles (the scalar stand-in for VNNI/vpdpbusd or NEON sdot
+// chains), with the output rescaled back to float32 and the same fused
+// epilogue options.
+//
+// It writes the rescaled float32 output into a caller-provided destination
+// (nil dst allocates). The quantized input/padding buffers are still produced
+// per call: dynamic activation quantization is inherently per-inference work.
+// grain is the schedule's parallel chunk size over (batch, oc-block, out-row)
+// units (<=1 means one row per work item); chunking also amortizes the int32
+// accumulator-tile allocation across a chunk's rows, and every grain is
+// bit-identical.
 func Conv2DInt8NCHWcInto(dst *tensor.Tensor, in *QTensor, weight *QTensor, attrs ops.Conv2DAttrs, icb, ocb, regN, grain int, epi ops.Epilogue, pf ops.ParallelFor) *tensor.Tensor {
 	if in.Layout.Kind != tensor.LayoutNCHWc || in.Layout.BlockC != icb {
 		panic(fmt.Sprintf("quant: expected NCHW%dc input, got %v", icb, in.Layout))

@@ -96,11 +96,11 @@ func quantConvPair(seed uint64, c, h, w, oc int, pad int) (*tensor.Tensor, *tens
 
 func TestInt8ConvApproximatesFloat(t *testing.T) {
 	in, wt, attrs := quantConvPair(11, 8, 10, 10, 16, 1)
-	ref := ops.Conv2DNCHW(in, wt, attrs, ops.Epilogue{}, nil)
+	ref := ops.Conv2DNCHWInto(nil, in, wt, attrs, ops.Epilogue{}, nil)
 
 	qin := PackActivationNCHWc(Quantize(in), 8)
 	qwt := PackWeightsOIHWio(QuantizeWeightsPerChannel(wt), 8, 8)
-	got8 := Conv2DInt8NCHWc(qin, qwt, attrs, 8, 8, 4, ops.Epilogue{}, nil)
+	got8 := Conv2DInt8NCHWcInto(nil, qin, qwt, attrs, 8, 8, 4, 1, ops.Epilogue{}, nil)
 	got := tensor.FromNCHWc(got8)
 
 	// Quantization noise: each output accumulates C*9 products of values
@@ -127,12 +127,12 @@ func TestInt8ConvEpilogue(t *testing.T) {
 	res.FillRandom(14, 1)
 
 	epi := ops.Epilogue{Bias: bias, ReLU: true}
-	ref := ops.Conv2DNCHW(in, wt, attrs, epi, nil)
+	ref := ops.Conv2DNCHWInto(nil, in, wt, attrs, epi, nil)
 
 	qin := PackActivationNCHWc(Quantize(in), 8)
 	qwt := PackWeightsOIHWio(QuantizeWeightsPerChannel(wt), 8, 8)
 	blockedEpi := ops.Epilogue{Bias: bias, ReLU: true, Residual: nil}
-	got := tensor.FromNCHWc(Conv2DInt8NCHWc(qin, qwt, attrs, 8, 8, 4, blockedEpi, nil))
+	got := tensor.FromNCHWc(Conv2DInt8NCHWcInto(nil, qin, qwt, attrs, 8, 8, 4, 1, blockedEpi, nil))
 	if !tensor.AllClose(ref, got, 0.05) {
 		t.Fatalf("int8 fused epilogue diverges: %g", tensor.MaxAbsDiff(ref, got))
 	}
@@ -143,7 +143,7 @@ func TestInt8ConvParallelMatchesSerial(t *testing.T) {
 	in, wt, attrs := quantConvPair(15, 8, 9, 9, 8, 1)
 	qin := PackActivationNCHWc(Quantize(in), 4)
 	qwt := PackWeightsOIHWio(QuantizeWeightsPerChannel(wt), 4, 8)
-	serial := Conv2DInt8NCHWc(qin, qwt, attrs, 4, 8, 4, ops.Epilogue{}, ops.Serial)
+	serial := Conv2DInt8NCHWcInto(nil, qin, qwt, attrs, 4, 8, 4, 1, ops.Epilogue{}, ops.Serial)
 	goPar := func(n int, body func(i int)) {
 		done := make(chan struct{})
 		for i := 0; i < n; i++ {
@@ -153,7 +153,7 @@ func TestInt8ConvParallelMatchesSerial(t *testing.T) {
 			<-done
 		}
 	}
-	par := Conv2DInt8NCHWc(qin, qwt, attrs, 4, 8, 4, ops.Epilogue{}, goPar)
+	par := Conv2DInt8NCHWcInto(nil, qin, qwt, attrs, 4, 8, 4, 1, ops.Epilogue{}, goPar)
 	if tensor.MaxAbsDiff(serial, par) != 0 {
 		t.Fatal("parallel int8 conv must match serial bit-for-bit")
 	}
@@ -180,10 +180,10 @@ func TestInt8RejectsBadLayouts(t *testing.T) {
 	mustPanic(t, func() { PackActivationNCHWc(Quantize(wt.Reshape(tensor.NCHW(), 8, 8, 3, 3)), 3) })
 	mustPanic(t, func() { PackWeightsOIHWio(q, 4, 4) })
 	mustPanic(t, func() {
-		Conv2DInt8NCHWc(q, PackWeightsOIHWio(qw, 4, 4), attrs, 4, 4, 4, ops.Epilogue{}, nil) // unpacked input
+		Conv2DInt8NCHWcInto(nil, q, PackWeightsOIHWio(qw, 4, 4), attrs, 4, 4, 4, 1, ops.Epilogue{}, nil) // unpacked input
 	})
 	mustPanic(t, func() {
-		Conv2DInt8NCHWc(PackActivationNCHWc(q, 4), qw, attrs, 4, 4, 4, ops.Epilogue{}, nil) // unpacked weight
+		Conv2DInt8NCHWcInto(nil, PackActivationNCHWc(q, 4), qw, attrs, 4, 4, 4, 1, ops.Epilogue{}, nil) // unpacked weight
 	})
 }
 

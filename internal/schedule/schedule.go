@@ -1,9 +1,9 @@
 // Package schedule implements the local optimization-scheme search of
 // Section 3.3.1: enumerating candidate convolution schedules
 // (ic_bn, oc_bn, reg_n, unroll_ker), evaluating them (against the machine
-// cost model or by live measurement of the Go kernels), and memoizing the
-// results in a per-target database keyed by convolution workload so repeated
-// workloads across models are never searched twice.
+// cost model, or by live measurement through core.MeasuredEvaluator), and
+// memoizing the results in a per-target database keyed by convolution
+// workload so repeated workloads across models are never searched twice.
 package schedule
 
 import (
@@ -12,10 +12,8 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/machine"
-	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
@@ -157,57 +155,6 @@ type Evaluator func(wl machine.ConvWorkload, s machine.ConvSchedule) float64
 func CostModelEvaluator(t *machine.Target) Evaluator {
 	return func(wl machine.ConvWorkload, s machine.ConvSchedule) float64 {
 		return t.ConvTime(wl, s, 1, machine.BackendSerial, 1)
-	}
-}
-
-// MeasuredEvaluator times the real Go kernel. Each evaluation runs `trials`
-// times and keeps the minimum, mirroring the paper's repeated-measurement
-// averaging to cancel OS interference. It is used by the autotune example
-// and by the validation tests; exhaustive measured search over full models
-// is as slow in Go as the paper's 6-hour Skylake search was in TVM.
-func MeasuredEvaluator(trials int) Evaluator {
-	if trials < 1 {
-		trials = 1
-	}
-	return func(wl machine.ConvWorkload, s machine.ConvSchedule) float64 {
-		in := tensor.New(tensor.NCHW(), 1, wl.InC, wl.InH, wl.InW)
-		in.FillRandom(1, 1)
-		wt := tensor.New(tensor.OIHW(), wl.OutC, wl.InC/wl.GroupCount(), wl.KH, wl.KW)
-		wt.FillRandom(2, 1)
-		attrs := ops.Conv2DAttrs{
-			OutC: wl.OutC, KH: wl.KH, KW: wl.KW,
-			StrideH: wl.StrideH, StrideW: wl.StrideW, PadH: wl.PadH, PadW: wl.PadW,
-			Groups: wl.Groups,
-		}
-		blockedIn := tensor.ToNCHWc(in, s.ICBlock)
-		run := func() {}
-		switch {
-		case s.Algorithm == machine.AlgoWinograd:
-			u := ops.WinogradWeightTransformNCHWc(wt, s.ICBlock, s.OCBlock)
-			run = func() {
-				ops.Conv2DWinogradNCHWc(blockedIn, u, attrs, s.ICBlock, s.OCBlock, ops.Epilogue{}, nil)
-			}
-		case wl.Depthwise():
-			packed := tensor.PackWeights(wt, 1, s.OCBlock)
-			run = func() {
-				ops.Conv2DDepthwiseNCHWc(blockedIn, packed, attrs, s.OCBlock, s.RegN, s.UnrollKer, ops.Epilogue{}, nil)
-			}
-		default:
-			blockedWt := tensor.PackWeights(wt, s.ICBlock, s.OCBlock)
-			run = func() {
-				ops.Conv2DNCHWc(blockedIn, blockedWt, attrs, s.ICBlock, s.OCBlock, s.RegN, s.UnrollKer, ops.Epilogue{}, nil)
-			}
-		}
-		best := 0.0
-		for i := 0; i < trials; i++ {
-			start := time.Now()
-			run()
-			el := time.Since(start).Seconds()
-			if i == 0 || el < best {
-				best = el
-			}
-		}
-		return best
 	}
 }
 

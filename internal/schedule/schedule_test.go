@@ -288,18 +288,6 @@ func TestDBSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMeasuredEvaluatorRuns(t *testing.T) {
-	// A tiny workload measured for real: the blocked kernel must execute and
-	// return a positive time.
-	wl := machine.ConvWorkload{InC: 8, InH: 8, InW: 8, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	eval := MeasuredEvaluator(2)
-	s := machine.ConvSchedule{ICBlock: 4, OCBlock: 4, RegN: 4, UnrollKer: true}
-	got := eval(wl, s)
-	if got <= 0 {
-		t.Fatalf("measured time = %v", got)
-	}
-}
-
 func TestDBConcurrentAccess(t *testing.T) {
 	tgt := machine.IntelSkylakeC5()
 	db := NewDB()

@@ -162,7 +162,9 @@ func (e *Engine) Run(input *tensor.Tensor) ([]*tensor.Tensor, error) {
 	return e.mod.Run(input)
 }
 
-// RunProfiled executes one inference while timing every operator.
+// RunProfiled executes one inference while timing every operator. It runs
+// the same compiled plan as Session.Run; operators on concurrent levels
+// overlap, so their timings may add up to more than the profile's Total.
 func (e *Engine) RunProfiled(input *tensor.Tensor) ([]*tensor.Tensor, *Profile, error) {
 	if e.mod.PredictOnly() {
 		return nil, nil, ErrPredictOnly
